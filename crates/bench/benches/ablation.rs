@@ -52,14 +52,16 @@ fn classifier_accuracy() {
                 .wrapping_add(1442695040888963407)
                 >> 16)
                 % 4096;
-            pool.get(&mut clk, PageId(rnd), Locality::Random);
+            pool.get(&mut clk, PageId(rnd), Locality::Random)
+                .expect("random lookup failed");
             let gb = b.next(&mut clk, &pool).is_some();
             rnd = (rnd
                 .wrapping_mul(6364136223846793005)
                 .wrapping_add(1442695040888963407)
                 >> 16)
                 % 4096;
-            pool.get(&mut clk, PageId(rnd), Locality::Random);
+            pool.get(&mut clk, PageId(rnd), Locality::Random)
+                .expect("random lookup failed");
             if !ga && !gb {
                 break;
             }
@@ -148,7 +150,8 @@ fn multipage() {
         // out of the picture.
         let mut clk = Clk::at(HOUR);
         for run in 0..2_000u64 {
-            m.read_run(&mut clk, PageId(run * 32), 32);
+            m.read_run(&mut clk, PageId(run * 32), 32)
+                .expect("multi-page read failed");
         }
         clk.now -= HOUR;
         let secs = clk.now as f64 / 1e9;

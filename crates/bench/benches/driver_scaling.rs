@@ -5,8 +5,8 @@
 //!   each in their own share-nothing domain), and
 //! * a fault matrix (four SSD designs × two fault streams, eight
 //!   domains of synthetic clients with injected SSD errors), and
-//! * a buffer-pool contention stress (ISSUE 9): real OS threads
-//!   hammering ONE shared pool's hit path, lock-striped 1-way vs N-way.
+//! * a buffer-pool latch stress: real OS threads hammering ONE shared
+//!   pool's hit path through its single latch.
 //!
 //! Every sweep asserts that per-domain results are bit-identical across
 //! thread counts — the parallel driver must never trade determinism for
@@ -20,7 +20,7 @@
 use std::sync::Arc;
 
 use turbopool_bench::{quick, BenchReport, Json, OltpKind, RunOptions, WallTimer};
-use turbopool_bufpool::{BufferPool, BufferPoolConfig, DirectIo, PageIo, ShardCount};
+use turbopool_bufpool::{BufferPool, BufferPoolConfig, DirectIo, PageIo};
 use turbopool_core::metrics::SsdMetricsSnapshot;
 use turbopool_iosim::fault::{FaultConfig, FaultPlan};
 use turbopool_iosim::{Clk, DeviceSetup, IoManager, Locality, PageId, MINUTE};
@@ -194,31 +194,29 @@ fn sweep(
 }
 
 // ---------------------------------------------------------------------
-// ISSUE 9: buffer-pool lock-striping contention stress
+// Buffer-pool latch stress
 // ---------------------------------------------------------------------
 
 /// Pages in the stress pool. Frames == pages, so after a single warming
 /// pass every access is a hit: the measurement is pure page-table +
-/// policy metadata work under the shard latches, with no I/O (whose own
+/// policy metadata work under the pool latch, with no I/O (whose own
 /// locks would mask the effect, as in the ablation-4 partitioning bench).
 const STRESS_PAGES: u64 = 4096;
 
-/// One shared pool hammered by real threads at a given stripe count.
-fn contention_sample(shards: usize, threads: usize, gets_per_thread: u64) -> Json {
+/// One shared pool hammered by `threads` real threads.
+fn pool_latch_sample(threads: usize, gets_per_thread: u64) -> Json {
     let io = Arc::new(IoManager::new(&DeviceSetup::paper(256, STRESS_PAGES, 1)));
     let layer: Arc<dyn PageIo> = Arc::new(DirectIo::new(io));
-    let mut cfg = BufferPoolConfig::new(STRESS_PAGES as usize, 256, STRESS_PAGES);
-    cfg.shards = ShardCount::Fixed(shards);
+    let cfg = BufferPoolConfig::new(STRESS_PAGES as usize, 256, STRESS_PAGES);
     let pool = Arc::new(BufferPool::new(cfg, layer));
     // Warm every page resident (unmeasured, single-threaded).
     let mut clk = Clk::new();
     for p in 0..STRESS_PAGES {
         pool.get(&mut clk, PageId(p), Locality::Random).unwrap();
     }
-    let warm = pool.stats();
     // Wall clock on purpose: this measures real OS-thread latch
-    // contention across stripe counts, which the virtual clock cannot
-    // observe. Identical measurement rationale to ablation 4 (§3.3.4).
+    // contention, which the virtual clock cannot observe. Identical
+    // measurement rationale to ablation 4 (§3.3.4).
     // lint: allow(wallclock) — harness-side timing of real latch contention
     let t0 = std::time::Instant::now();
     // lint: allow(thread-spawn) — contention stress needs true parallelism; the hammered pool is bench-local, no simulation state is shared.
@@ -238,18 +236,12 @@ fn contention_sample(shards: usize, threads: usize, gets_per_thread: u64) -> Jso
         }
     });
     let wall = t0.elapsed().as_secs_f64();
-    let stats = pool.stats();
-    let acq = stats.shard_acquisitions - warm.shard_acquisitions;
-    let contended = stats.shard_contended - warm.shard_contended;
     let gets = gets_per_thread * threads as u64;
     println!(
-        "contention     shards={shards} threads={threads} wall={wall:.3}s \
-         gets/s={:.0} contended_share={:.4}",
+        "pool_latch     threads={threads} wall={wall:.3}s gets/s={:.0}",
         gets as f64 / wall.max(1e-9),
-        contended as f64 / acq.max(1) as f64,
     );
     Json::Obj(vec![
-        ("shards".to_string(), Json::Int(shards as u64)),
         ("threads".to_string(), Json::Int(threads as u64)),
         ("cores".to_string(), Json::Int(host_cores())),
         ("wall_secs".to_string(), Json::Num(wall)),
@@ -257,12 +249,6 @@ fn contention_sample(shards: usize, threads: usize, gets_per_thread: u64) -> Jso
         (
             "gets_per_sec".to_string(),
             Json::Num(gets as f64 / wall.max(1e-9)),
-        ),
-        ("shard_acquisitions".to_string(), Json::Int(acq)),
-        ("shard_contended".to_string(), Json::Int(contended)),
-        (
-            "contended_share".to_string(),
-            Json::Num(contended as f64 / acq.max(1) as f64),
         ),
     ])
 }
@@ -284,14 +270,12 @@ fn main() {
         fault_sample(t, fault_minutes * MINUTE)
     });
 
-    println!("\n== driver_scaling: pool lock-striping contention (1 shared pool) ==");
+    println!("\n== driver_scaling: pool latch (1 shared pool) ==");
     let gets_per_thread: u64 = if quick { 500_000 } else { 2_000_000 };
-    let mut contention = Vec::new();
-    for &shards in &[1usize, 8] {
-        for &threads in thread_counts {
-            contention.push(contention_sample(shards, threads, gets_per_thread));
-        }
-    }
+    let pool_latch: Vec<Json> = thread_counts
+        .iter()
+        .map(|&threads| pool_latch_sample(threads, gets_per_thread))
+        .collect();
 
     let virtual_ns =
         (oltp_minutes * MINUTE).saturating_mul(4) + (fault_minutes * MINUTE).saturating_mul(8);
@@ -305,7 +289,7 @@ fn main() {
         )
         .set("oltp", Json::Arr(oltp))
         .set("fault_matrix", Json::Arr(faults))
-        .set("pool_contention", Json::Arr(contention))
+        .set("pool_latch", Json::Arr(pool_latch))
         .int("cores", host_cores());
     report.emit();
 }

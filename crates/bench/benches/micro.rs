@@ -9,9 +9,9 @@ use turbopool_bench::{BenchReport, Json, WallTimer};
 use turbopool_bufpool::{Lru2, PageIo};
 use turbopool_core::heaps::{DualHeap, Side};
 use turbopool_core::partition::Partition;
-use turbopool_core::{PageBufPool, SsdConfig, SsdDesign, SsdManager};
+use turbopool_core::{SsdConfig, SsdDesign, SsdManager};
 use turbopool_engine::{Database, DbConfig};
-use turbopool_iosim::{Clk, DeviceSetup, IoManager, Locality, PageId};
+use turbopool_iosim::{Clk, DeviceSetup, IoManager, Locality, PageBufPool, PageId};
 
 /// `(name, ns_per_iter, iters)` rows collected for BENCH_micro.json.
 static RESULTS: Mutex<Vec<(String, f64, u64)>> = Mutex::new(Vec::new());
@@ -134,7 +134,8 @@ fn bench_ssd_manager() {
         i += 1;
         let pid = PageId((i * 7919) % 1_000_000);
         m.evict_page(clk.now, pid, &data, false, Locality::Random);
-        m.read_page(&mut clk, pid, Locality::Random, &mut buf);
+        m.read_page(&mut clk, pid, Locality::Random, &mut buf)
+            .expect("ssd_manager_evict_hit_cycle: read_page failed");
     });
 }
 

@@ -58,8 +58,6 @@ pub fn ssd_metrics_json(s: &SsdMetricsSnapshot) -> Json {
         ssd_retries,
         cleaner_backoffs,
         cleaner_boosts,
-        shard_acquisitions,
-        shard_contended,
     } = *s;
     obj(vec![
         ("ssd_hits", ssd_hits),
@@ -95,8 +93,6 @@ pub fn ssd_metrics_json(s: &SsdMetricsSnapshot) -> Json {
         ("ssd_retries", ssd_retries),
         ("cleaner_backoffs", cleaner_backoffs),
         ("cleaner_boosts", cleaner_boosts),
-        ("shard_acquisitions", shard_acquisitions),
-        ("shard_contended", shard_contended),
     ])
 }
 
@@ -111,7 +107,6 @@ pub fn pool_stats_json(s: &PoolStats) -> Json {
         expanded_fill_pages,
         checkpoint_writes,
         shard_acquisitions,
-        shard_contended,
     } = *s;
     obj(vec![
         ("hits", hits),
@@ -122,7 +117,6 @@ pub fn pool_stats_json(s: &PoolStats) -> Json {
         ("expanded_fill_pages", expanded_fill_pages),
         ("checkpoint_writes", checkpoint_writes),
         ("shard_acquisitions", shard_acquisitions),
-        ("shard_contended", shard_contended),
     ])
 }
 
@@ -197,7 +191,7 @@ mod tests {
     fn ssd_metrics_emitter_is_field_complete() {
         let j = ssd_metrics_json(&SsdMetricsSnapshot::default());
         let ks = keys(&j);
-        assert_eq!(ks.len(), 35, "one JSON key per SsdMetrics counter");
+        assert_eq!(ks.len(), 33, "one JSON key per SsdMetrics counter");
         for probe in [
             "throttled_reads",
             "ssd_retries",
@@ -205,8 +199,6 @@ mod tests {
             "warm_rejected_stale",
             "warm_rejected_checksum",
             "admission_ghost_hits",
-            "shard_acquisitions",
-            "shard_contended",
         ] {
             assert!(ks.iter().any(|k| k == probe), "missing {probe}");
         }
@@ -224,10 +216,9 @@ mod tests {
     #[test]
     fn pool_and_fault_emitters_cover_every_field() {
         let p = keys(&pool_stats_json(&PoolStats::default()));
-        assert_eq!(p.len(), 9);
+        assert_eq!(p.len(), 8);
         assert!(p.iter().any(|k| k == "checkpoint_writes"));
         assert!(p.iter().any(|k| k == "shard_acquisitions"));
-        assert!(p.iter().any(|k| k == "shard_contended"));
         let f = keys(&fault_stats_json(&FaultStats::default()));
         assert_eq!(f.len(), 7);
         for probe in ["write_errors", "torn_writes", "bitflips"] {

@@ -17,7 +17,6 @@ pub mod lru2;
 pub mod policy;
 pub mod pool;
 pub mod readahead;
-pub mod shard;
 pub mod traits;
 
 pub use admission::{AdmissionKind, AdmissionPolicy, AdmitVerdict};
@@ -25,5 +24,4 @@ pub use lru2::Lru2;
 pub use policy::{PolicyStats, ReplacementKind, ReplacementPolicy};
 pub use pool::{BufferPool, BufferPoolConfig, PageGuard, PoolStats};
 pub use readahead::{Classifier, ClassifierKind, ClassifierStats, ScanCursor};
-pub use shard::{shard_of, ShardCount};
 pub use traits::{DirectIo, PageIo};

@@ -1,16 +1,11 @@
 //! The buffer pool proper: frames, hash table, pluggable replacement, guards.
 //!
-//! Since ISSUE 9 the pool is *lock-striped*: the page table, frame
-//! metadata, free list, and replacement policy are split into N shards,
-//! each behind its own latch, with shard assignment a pure function of
-//! the page id ([`shard_of`]). Data slots are partitioned contiguously
-//! (shard i owns global slots `base[i] .. base[i] + len[i]`), cross-shard
-//! totals are folded in shard order, and `shards = 1` reproduces the
-//! historical single-latch pool bit-for-bit (gated by
-//! `tests/policy_default_regression.rs`).
+//! One latch (`table`) guards the page table, frame metadata, free list,
+//! replacement policy, classifier, counters and dirty list. Page bytes sit
+//! behind per-frame latches (`data`), so device I/O never runs under the
+//! pool latch.
 
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use turbopool_iosim::sync::{Mutex, MutexGuard, RwLock};
@@ -18,7 +13,6 @@ use turbopool_iosim::{Clk, IoError, Locality, PageBuf, PageBufPool, PageId, Time
 
 use crate::policy::{PolicyStats, ReplacementKind, ReplacementPolicy};
 use crate::readahead::{Classifier, ClassifierKind, ClassifierStats};
-use crate::shard::{shard_of, ShardCount};
 use crate::traits::PageIo;
 
 /// Buffer pool sizing and behaviour knobs.
@@ -40,16 +34,6 @@ pub struct BufferPoolConfig {
     /// Which replacement policy picks eviction victims (LRU-2 is the
     /// paper's choice and the regression-gated default).
     pub replacement: ReplacementKind,
-    /// Lock stripes for the page table (`Auto` resolves from
-    /// [`shard_hint`](Self::shard_hint); `Fixed(1)` = the legacy single
-    /// latch).
-    pub shards: ShardCount,
-    /// Parallelism hint consulted by [`ShardCount::Auto`]. Defaults to 1
-    /// so that default-configured pools keep the legacy layout on every
-    /// machine — sharding must be opted into by configuration, never
-    /// inferred from host core count (see `crate::shard` determinism
-    /// note).
-    pub shard_hint: usize,
 }
 
 impl BufferPoolConfig {
@@ -61,8 +45,6 @@ impl BufferPoolConfig {
             fill_expansion: 8,
             classifier: ClassifierKind::ReadAhead,
             replacement: ReplacementKind::Lru2,
-            shards: ShardCount::Auto,
-            shard_hint: 1,
         }
     }
 }
@@ -77,15 +59,10 @@ pub struct PoolStats {
     pub prefetched_pages: u64,
     pub expanded_fill_pages: u64,
     pub checkpoint_writes: u64,
-    /// Shard-latch acquisitions (every `lock_shard`, all shards summed).
+    /// Acquisitions of the one pool latch, bumped under that latch.
     /// Deterministic in driver runs — a pure function of the operation
     /// sequence — so it participates safely in replay equality checks.
     pub shard_acquisitions: u64,
-    /// Shard-latch acquisitions that found the latch held by another OS
-    /// thread. Always 0 in deterministic driver runs (domains are
-    /// share-nothing); nonzero only under the real-thread contention
-    /// benches.
-    pub shard_contended: u64,
 }
 
 impl PoolStats {
@@ -96,15 +73,6 @@ impl PoolStats {
             0.0
         } else {
             self.hits as f64 / total as f64
-        }
-    }
-
-    /// Fraction of shard-latch acquisitions that were contended.
-    pub fn contended_share(&self) -> f64 {
-        if self.shard_acquisitions == 0 {
-            0.0
-        } else {
-            self.shard_contended as f64 / self.shard_acquisitions as f64
         }
     }
 }
@@ -128,10 +96,9 @@ impl FrameMeta {
     }
 }
 
-/// An eviction decided under a shard latch whose write-behind I/O is
+/// An eviction decided under the pool latch whose write-behind I/O is
 /// still owed. The slot is privately owned by the holder until new data
 /// is installed, so the victim's bytes survive in the frame meanwhile.
-/// `slot` is the *global* data-slot index.
 #[derive(Clone, Copy, Debug)]
 struct PendingEvict {
     slot: usize,
@@ -143,25 +110,21 @@ struct PendingEvict {
 /// Sentinel for the intrusive dirty-list links.
 const NIL: usize = usize::MAX;
 
-/// One lock stripe: a slice of the page table with its own free list,
-/// replacement policy, counters, and intrusive dirty list. All slot
-/// indices inside a shard are *local* (`0 .. meta.len()`); the owning
-/// pool maps them to global data slots by adding the shard's base.
-struct Shard {
+/// Everything the pool latch protects.
+struct PageTable {
     map: HashMap<PageId, usize>,
     meta: Vec<FrameMeta>,
     free: Vec<usize>,
     /// Victim selection + access bookkeeping, behind the policy trait.
-    /// Each shard owns its own instance (sized to the shard's frames), so
-    /// victim selection never crosses a shard boundary. The default
-    /// [`ReplacementKind::Lru2`] reproduces the pre-trait hardwired LRU-2
-    /// bit-for-bit at `shards = 1` (see `tests/policy_default_regression`).
+    /// The default [`ReplacementKind::Lru2`] reproduces the pre-trait
+    /// hardwired LRU-2 bit-for-bit (see `tests/policy_default_regression`).
     policy: Box<dyn ReplacementPolicy>,
+    classifier: Classifier,
     filled_once: bool,
     stats: PoolStats,
-    /// Intrusive doubly-linked list of dirty frames (local indices), so
-    /// checkpoints and `dirty_count` never scan the whole frame table.
-    /// Invariant: `meta[l].dirty` ⟺ `l` is linked ⟺ counted in `ndirty`.
+    /// Intrusive doubly-linked list of dirty frames, so checkpoints and
+    /// `dirty_count` never scan the whole frame table.
+    /// Invariant: `meta[s].dirty` ⟺ `s` is linked ⟺ counted in `ndirty`.
     dprev: Vec<usize>,
     dnext: Vec<usize>,
     dhead: usize,
@@ -169,13 +132,15 @@ struct Shard {
     ndirty: usize,
 }
 
-impl Shard {
-    fn new(frames: usize, replacement: ReplacementKind) -> Self {
-        Shard {
+impl PageTable {
+    fn new(cfg: &BufferPoolConfig) -> Self {
+        let frames = cfg.frames;
+        PageTable {
             map: HashMap::with_capacity(frames),
             meta: vec![FrameMeta::empty(); frames],
             free: (0..frames).rev().collect(),
-            policy: replacement.build(frames),
+            policy: cfg.replacement.build(frames),
+            classifier: Classifier::new(cfg.classifier),
             filled_once: false,
             stats: PoolStats::default(),
             dprev: vec![NIL; frames],
@@ -186,23 +151,23 @@ impl Shard {
         }
     }
 
-    /// Append local slot `l` to the dirty list (must not be linked).
-    fn link_dirty(&mut self, l: usize) {
-        debug_assert!(self.dprev[l] == NIL && self.dnext[l] == NIL && self.dhead != l);
-        self.dprev[l] = self.dtail;
-        self.dnext[l] = NIL;
+    /// Append slot `s` to the dirty list (must not be linked).
+    fn link_dirty(&mut self, s: usize) {
+        debug_assert!(self.dprev[s] == NIL && self.dnext[s] == NIL && self.dhead != s);
+        self.dprev[s] = self.dtail;
+        self.dnext[s] = NIL;
         if self.dtail == NIL {
-            self.dhead = l;
+            self.dhead = s;
         } else {
-            self.dnext[self.dtail] = l;
+            self.dnext[self.dtail] = s;
         }
-        self.dtail = l;
+        self.dtail = s;
         self.ndirty += 1;
     }
 
-    /// Unlink local slot `l` from the dirty list (must be linked).
-    fn unlink_dirty(&mut self, l: usize) {
-        let (p, n) = (self.dprev[l], self.dnext[l]);
+    /// Unlink slot `s` from the dirty list (must be linked).
+    fn unlink_dirty(&mut self, s: usize) {
+        let (p, n) = (self.dprev[s], self.dnext[s]);
         if p == NIL {
             self.dhead = n;
         } else {
@@ -213,18 +178,17 @@ impl Shard {
         } else {
             self.dprev[n] = p;
         }
-        self.dprev[l] = NIL;
-        self.dnext[l] = NIL;
+        self.dprev[s] = NIL;
+        self.dnext[s] = NIL;
         self.ndirty -= 1;
     }
 
-    /// Obtain a free local slot, selecting and detaching the policy's
-    /// victim if necessary — pure bookkeeping, no I/O, so it runs
-    /// entirely under the shard latch. When a page is evicted the caller
-    /// receives a [`PendingEvict`] (with the slot still *local*; the
-    /// pool rebases it) and must hand the frame's bytes to the storage
-    /// layer (after releasing the latch) *before* overwriting the frame,
-    /// since the slot still holds the victim's data.
+    /// Obtain a free slot, selecting and detaching the policy's victim if
+    /// necessary — pure bookkeeping, no I/O, so it runs entirely under
+    /// the pool latch. When a page is evicted the caller receives a
+    /// [`PendingEvict`] and must hand the frame's bytes to the storage
+    /// layer (after releasing the pool latch) *before* overwriting the
+    /// frame, since the slot still holds the victim's data.
     fn vacate_slot(&mut self) -> (usize, Option<PendingEvict>) {
         if let Some(slot) = self.free.pop() {
             return (slot, None);
@@ -261,33 +225,16 @@ impl Shard {
     }
 }
 
-/// Per-shard latch counters, kept *outside* the latch so counting a
-/// contended acquisition never itself takes the latch.
-#[derive(Default)]
-struct LockCounters {
-    acquisitions: AtomicU64,
-    contended: AtomicU64,
-}
-
 /// The main-memory buffer pool.
 ///
 /// Thread-safe for the discrete-event usage pattern of this workspace (one
 /// logical client active at a time per domain, many logical clients
-/// interleaved) *and* for real-thread access: shards are independent
-/// latches, so threads touching different shards never serialize.
+/// interleaved). Every simulation path gives each share-nothing domain its
+/// own pool, so one latch serves them all.
 pub struct BufferPool {
     cfg: BufferPoolConfig,
     layer: Arc<dyn PageIo>,
-    shards: Vec<Mutex<Shard>>,
-    /// Global data-slot base of each shard (contiguous partition).
-    bases: Vec<usize>,
-    nshards: usize,
-    /// Random/sequential classification is shared: sequential-run
-    /// detection must observe the global access stream, which spans
-    /// shards. Its latch nests *inside* a shard latch (`classifier` after
-    /// `shards` in `lock_order.toml`) and is a leaf.
-    classifier: Mutex<Classifier>,
-    locks: Vec<LockCounters>,
+    table: Mutex<PageTable>,
     /// Recycled page-sized staging buffers for checkpoint copy-out and
     /// prefetch victim snapshots (zero-allocation steady state).
     bufs: PageBufPool,
@@ -297,30 +244,11 @@ pub struct BufferPool {
 impl BufferPool {
     pub fn new(cfg: BufferPoolConfig, layer: Arc<dyn PageIo>) -> Self {
         assert!(cfg.frames > 0, "pool needs at least one frame");
-        let nshards = cfg.shards.resolve(cfg.shard_hint, cfg.frames);
-        let mut shards = Vec::with_capacity(nshards);
-        let mut bases = Vec::with_capacity(nshards);
-        let mut base = 0usize;
-        for i in 0..nshards {
-            // Contiguous split: the first `frames % nshards` shards take
-            // one extra frame.
-            let count = cfg.frames / nshards + usize::from(i < cfg.frames % nshards);
-            bases.push(base);
-            base += count;
-            shards.push(Mutex::new(Shard::new(count, cfg.replacement)));
-        }
-        debug_assert_eq!(base, cfg.frames);
         let mut data = Vec::with_capacity(cfg.frames);
         data.resize_with(cfg.frames, || RwLock::new(PageBuf::zeroed(cfg.page_size)));
-        let mut locks = Vec::with_capacity(nshards);
-        locks.resize_with(nshards, LockCounters::default);
         BufferPool {
-            classifier: Mutex::new(Classifier::new(cfg.classifier)),
-            locks,
+            table: Mutex::new(PageTable::new(&cfg)),
             bufs: PageBufPool::new(cfg.page_size, 8),
-            shards,
-            bases,
-            nshards,
             data,
             cfg,
             layer,
@@ -331,27 +259,11 @@ impl BufferPool {
         &self.cfg
     }
 
-    /// Resolved shard count (for benches/tests).
-    pub fn shard_count(&self) -> usize {
-        self.nshards
-    }
-
-    /// Which shard owns `pid` — a pure function of the page id.
-    #[inline]
-    fn shard_idx(&self, pid: PageId) -> usize {
-        shard_of(pid.0, self.nshards)
-    }
-
-    /// Acquire shard `i`'s latch, counting the acquisition and whether it
-    /// was contended (latch held by another OS thread at that instant).
-    fn lock_shard(&self, i: usize) -> MutexGuard<'_, Shard> {
-        let c = &self.locks[i];
-        c.acquisitions.fetch_add(1, Ordering::Relaxed);
-        if let Some(g) = self.shards[i].try_lock() {
-            return g;
-        }
-        c.contended.fetch_add(1, Ordering::Relaxed);
-        self.shards[i].lock()
+    /// Acquire the pool latch, counting the acquisition under it.
+    fn latch(&self) -> MutexGuard<'_, PageTable> {
+        let mut t = self.table.lock();
+        t.stats.shard_acquisitions += 1;
+        t
     }
 
     /// Pin page `pid`, reading it from below on a miss. `declared` is the
@@ -369,59 +281,46 @@ impl BufferPool {
         declared: Locality,
     ) -> Result<PageGuard<'_>, IoError> {
         debug_assert!(pid.0 < self.cfg.db_pages, "page {pid} beyond database");
-        let shard = self.shard_idx(pid);
-        let mut sh = self.lock_shard(shard);
-        if let Some(&l) = sh.map.get(&pid) {
-            sh.meta[l].pin += 1;
-            sh.policy.on_access(l);
-            sh.stats.hits += 1;
-            // Hits deliberately do NOT touch the shared classifier:
-            // `Classifier::observe_hit` is a no-op for every kind (the
-            // proximity window learns from I/O-layer traffic only), and
-            // taking its global latch here would re-serialize the hit
-            // path that sharding just spread out.
+        let mut t = self.latch();
+        if let Some(&slot) = t.map.get(&pid) {
+            t.meta[slot].pin += 1;
+            t.policy.on_access(slot);
+            t.stats.hits += 1;
             return Ok(PageGuard {
                 pool: self,
-                shard,
-                local: l,
-                slot: self.bases[shard] + l,
+                slot,
                 pid,
             });
         }
-        sh.stats.misses += 1;
-        let assigned = self.classifier.lock().classify_miss(pid, declared);
+        t.stats.misses += 1;
+        let assigned = t.classifier.classify_miss(pid, declared);
 
-        // Pool-fill expansion: while this shard has never been full, a
-        // miss fetches a run instead of one page. The clamp uses the
-        // triggering shard's free count (at `shards = 1` exactly the
-        // historical whole-pool clamp); expansion pages land in their own
-        // shards' free frames.
-        let expand = if !sh.filled_once && self.cfg.fill_expansion > 1 {
+        // Pool-fill expansion: while the pool has never been full, a miss
+        // fetches a run instead of one page.
+        let expand = if !t.filled_once && self.cfg.fill_expansion > 1 {
             let run = self
                 .cfg
                 .fill_expansion
                 .min(self.cfg.db_pages - pid.0)
-                .min(sh.free.len() as u64 + 1);
+                .min(t.free.len() as u64 + 1);
             run.max(1)
         } else {
             1
         };
 
-        let (local, evicted) = sh.vacate_slot();
-        let slot = self.bases[shard] + local;
-        sh.meta[local] = FrameMeta {
+        let (slot, evicted) = t.vacate_slot();
+        t.meta[slot] = FrameMeta {
             pid: Some(pid),
             dirty: false,
             pin: 1,
             class: assigned,
         };
-        sh.map.insert(pid, local);
-        sh.policy.on_install(local, pid);
-        drop(sh);
-        // Write-behind for the victim happens outside the shard latch but
+        t.map.insert(pid, slot);
+        t.policy.on_install(slot, pid);
+        drop(t);
+        // Write-behind for the victim happens outside the pool latch but
         // before any read fills the frame, preserving per-thread I/O order.
-        if let Some(mut ev) = evicted {
-            ev.slot += self.bases[shard];
+        if let Some(ev) = evicted {
             self.flush_evicted(clk.now, &ev);
         }
 
@@ -429,27 +328,19 @@ impl BufferPool {
             let pages = match self.layer.read_run(clk, pid, expand) {
                 Ok(pages) => pages,
                 Err(e) => {
-                    self.abandon_install(shard, local, pid);
+                    self.abandon_install(slot, pid);
                     return Err(e);
                 }
             };
             self.data[slot].write().copy_from(pages[0].as_slice());
+            let mut t = self.latch();
             for (i, page) in pages.into_iter().enumerate().skip(1) {
                 let extra = pid.offset(i as u64);
-                let es = self.shard_idx(extra);
-                let mut sh = self.lock_shard(es);
-                if sh.map.contains_key(&extra) {
+                if t.map.contains_key(&extra) {
                     continue;
                 }
-                // A full shard takes no expansion page; other shards may
-                // still have room (at `shards = 1` this is equivalent to
-                // the historical `break`, since every later pop would
-                // also fail).
-                let Some(l) = sh.free.pop() else {
-                    sh.filled_once = true;
-                    continue;
-                };
-                sh.meta[l] = FrameMeta {
+                let Some(s) = t.free.pop() else { break };
+                t.meta[s] = FrameMeta {
                     pid: Some(extra),
                     dirty: false,
                     pin: 0,
@@ -458,39 +349,29 @@ impl BufferPool {
                     // triggering request.
                     class: Locality::Random,
                 };
-                sh.map.insert(extra, l);
-                sh.policy.on_install(l, extra);
-                sh.stats.expanded_fill_pages += 1;
-                self.data[self.bases[es] + l]
-                    .write()
-                    .copy_from(page.as_slice());
-                if sh.free.is_empty() {
-                    sh.filled_once = true;
-                }
+                t.map.insert(extra, s);
+                t.policy.on_install(s, extra);
+                t.stats.expanded_fill_pages += 1;
+                self.data[s].write().copy_from(page.as_slice());
             }
-            // The triggering page itself may have consumed its shard's
-            // last free frame (the historical post-loop check).
-            let mut sh = self.lock_shard(shard);
-            if sh.free.is_empty() {
-                sh.filled_once = true;
+            if t.free.is_empty() {
+                t.filled_once = true;
             }
         } else {
             let mut buf = self.data[slot].write();
             // lint: allow(lock-across-io) — frame write latch only, held so
-            // the fill lands atomically; the shard latch is already released
+            // the fill lands atomically; the pool latch is already released
             // and the frame is pinned by this caller.
             let read = self.layer.read_page(clk, pid, assigned, buf.as_mut_slice());
             drop(buf);
             if let Err(e) = read {
-                self.abandon_install(shard, local, pid);
+                self.abandon_install(slot, pid);
                 return Err(e);
             }
         }
 
         Ok(PageGuard {
             pool: self,
-            shard,
-            local,
             slot,
             pid,
         })
@@ -499,47 +380,39 @@ impl BufferPool {
     /// Back out a miss installation whose read from below failed: the map
     /// entry, frame metadata, and replacement state all revert, returning
     /// the slot to the free list.
-    fn abandon_install(&self, shard: usize, local: usize, pid: PageId) {
-        let mut sh = self.lock_shard(shard);
-        debug_assert_eq!(sh.meta[local].pid, Some(pid));
-        sh.map.remove(&pid);
-        sh.meta[local] = FrameMeta::empty();
-        sh.policy.on_remove(local, pid);
-        sh.free.push(local);
+    fn abandon_install(&self, slot: usize, pid: PageId) {
+        let mut t = self.latch();
+        debug_assert_eq!(t.meta[slot].pid, Some(pid));
+        t.map.remove(&pid);
+        t.meta[slot] = FrameMeta::empty();
+        t.policy.on_remove(slot, pid);
+        t.free.push(slot);
     }
 
     /// Pin a *fresh* page that has never been written: installs a zeroed,
     /// dirty frame without any read I/O (page allocation path).
     pub fn create(&self, now: Time, pid: PageId) -> PageGuard<'_> {
         debug_assert!(pid.0 < self.cfg.db_pages, "page {pid} beyond database");
-        let shard = self.shard_idx(pid);
-        let mut sh = self.lock_shard(shard);
-        assert!(
-            !sh.map.contains_key(&pid),
-            "create() of resident page {pid}"
-        );
-        let (local, evicted) = sh.vacate_slot();
-        let slot = self.bases[shard] + local;
-        sh.meta[local] = FrameMeta {
+        let mut t = self.latch();
+        assert!(!t.map.contains_key(&pid), "create() of resident page {pid}");
+        let (slot, evicted) = t.vacate_slot();
+        t.meta[slot] = FrameMeta {
             pid: Some(pid),
             dirty: true,
             pin: 1,
             class: Locality::Random,
         };
-        sh.link_dirty(local);
-        sh.map.insert(pid, local);
-        sh.policy.on_install(local, pid);
-        drop(sh);
-        if let Some(mut ev) = evicted {
-            ev.slot += self.bases[shard];
+        t.link_dirty(slot);
+        t.map.insert(pid, slot);
+        t.policy.on_install(slot, pid);
+        drop(t);
+        if let Some(ev) = evicted {
             self.flush_evicted(now, &ev);
         }
         self.layer.note_dirtied(now, pid);
         self.data[slot].write().as_mut_slice().fill(0);
         PageGuard {
             pool: self,
-            shard,
-            local,
             slot,
             pid,
         }
@@ -561,23 +434,21 @@ impl BufferPool {
         // skipped here and re-read (fresh) if the scan reaches them.
         let mut stale: Vec<bool> = vec![false; n as usize];
         // Evictions decided inside the loop owe write-behind I/O that must
-        // not run under a shard latch. The victims' bytes are snapshotted
+        // not run under the pool latch. The victims' bytes are snapshotted
         // (into recycled staging buffers) before their frames are reused
-        // and flushed after the loop; every booking lands at the same
+        // and flushed after unlock; every booking lands at the same
         // virtual instant either way, so the deferral is invisible to the
         // simulation.
         let mut owed: Vec<(PendingEvict, Vec<u8>)> = Vec::new();
+        let mut t = self.latch();
         for (i, page) in pages.into_iter().enumerate() {
             let pid = first.offset(i as u64);
-            let es = self.shard_idx(pid);
-            let mut sh = self.lock_shard(es);
-            if sh.map.contains_key(&pid) || stale[i] {
+            if t.map.contains_key(&pid) || stale[i] {
                 continue;
             }
-            let assigned = self.classifier.lock().classify_prefetch(pid);
-            let (local, evicted) = sh.vacate_slot();
-            if let Some(mut ev) = evicted {
-                ev.slot += self.bases[es];
+            let assigned = t.classifier.classify_prefetch(pid);
+            let (slot, evicted) = t.vacate_slot();
+            if let Some(ev) = evicted {
                 if ev.victim.0 >= first.0 && ev.victim.0 < first.0 + n {
                     stale[(ev.victim.0 - first.0) as usize] = true;
                 }
@@ -585,13 +456,13 @@ impl BufferPool {
                 snap.copy_from_slice(self.data[ev.slot].read().as_slice());
                 owed.push((ev, snap));
             }
-            sh.meta[local] = FrameMeta {
+            t.meta[slot] = FrameMeta {
                 pid: Some(pid),
                 dirty: false,
                 pin: 0,
                 class: assigned,
             };
-            sh.map.insert(pid, local);
+            t.map.insert(pid, slot);
             // Double-stamp: install plus one protection access. Under
             // LRU-2 a single touch would leave the page with an empty
             // penultimate stamp, making it the preferred victim — a full
@@ -601,13 +472,12 @@ impl BufferPool {
             // (CLOCK/SIEVE set the reference bit, ARC promotes to
             // protected), matching the read-ahead page protection of a
             // production buffer manager.
-            sh.policy.on_install(local, pid);
-            sh.policy.on_access(local);
-            sh.stats.prefetched_pages += 1;
-            self.data[self.bases[es] + local]
-                .write()
-                .copy_from(page.as_slice());
+            t.policy.on_install(slot, pid);
+            t.policy.on_access(slot);
+            t.stats.prefetched_pages += 1;
+            self.data[slot].write().copy_from(page.as_slice());
         }
+        drop(t);
         for (ev, snap) in owed {
             self.layer
                 .evict_page(clk.now, ev.victim, &snap, ev.dirty, ev.class);
@@ -618,13 +488,13 @@ impl BufferPool {
 
     /// Hand an evicted page's bytes to the storage layer (write-behind).
     /// Eviction writes are asynchronous: device time is charged at `now`
-    /// but the caller does not wait. Must be called *without* any shard
+    /// but the caller does not wait. Must be called *without* the pool
     /// latch and *before* the vacated frame is overwritten.
     fn flush_evicted(&self, now: Time, ev: &PendingEvict) {
         let layer = &self.layer;
         let data = self.data[ev.slot].read();
         // lint: allow(lock-across-io) — only the frame's read latch is held
-        // (the shard latch is released); the slot is privately owned by this
+        // (the pool latch is released); the slot is privately owned by this
         // caller and evict_page is a non-blocking async booking.
         layer.evict_page(now, ev.victim, data.as_slice(), ev.dirty, ev.class);
     }
@@ -633,50 +503,47 @@ impl BufferPool {
     /// (asynchronously), wait for the slowest write, then ask the layer to
     /// flush anything *it* holds dirty (the SSD, under LC).
     ///
-    /// Dirty frames come from each shard's intrusive dirty list (no full
-    /// frame-table scan), collected in shard order and sorted by local
-    /// slot — with contiguous shard bases that is exactly the historical
-    /// ascending-global-slot write order.
+    /// Dirty frames come from the intrusive dirty list (no full
+    /// frame-table scan) and are written in ascending slot order.
     pub fn checkpoint(&self, clk: &mut Clk) {
-        let mut dirty: Vec<(usize, usize, PageId, Locality)> = Vec::new();
-        for i in 0..self.nshards {
-            let sh = self.lock_shard(i);
-            let mut locals: Vec<usize> = Vec::with_capacity(sh.ndirty);
-            let mut l = sh.dhead;
-            while l != NIL {
-                if sh.meta[l].pin == 0 {
-                    locals.push(l);
+        let mut dirty: Vec<(usize, PageId, Locality)> = Vec::new();
+        {
+            let t = self.latch();
+            let mut slots: Vec<usize> = Vec::with_capacity(t.ndirty);
+            let mut s = t.dhead;
+            while s != NIL {
+                if t.meta[s].pin == 0 {
+                    slots.push(s);
                 }
-                l = sh.dnext[l];
+                s = t.dnext[s];
             }
-            locals.sort_unstable();
-            for l in locals {
+            slots.sort_unstable();
+            for s in slots {
                 // lint: allow(panic) — dirty-list members always hold a page.
-                let pid = sh.meta[l].pid.expect("dirty frame has a page");
-                dirty.push((i, l, pid, sh.meta[l].class));
+                let pid = t.meta[s].pid.expect("dirty frame has a page");
+                dirty.push((s, pid, t.meta[s].class));
             }
         }
         let mut done = clk.now;
         // Recycled copy-out buffer: the frame latch protects only the
         // memcpy, never the write I/O below it.
         let mut copy = self.bufs.lease();
-        for (i, l, pid, class) in dirty {
-            let slot = self.bases[i] + l;
+        for (slot, pid, class) in dirty {
             {
                 let data = self.data[slot].read();
                 copy.as_mut_slice().copy_from_slice(data.as_slice());
             }
-            let t = self
+            let w = self
                 .layer
                 .checkpoint_write(clk.now, pid, copy.as_slice(), class);
-            done = done.max(t);
-            let mut sh = self.lock_shard(i);
+            done = done.max(w);
+            let mut t = self.latch();
             // Revalidate: the frame may have been recycled meanwhile.
-            if sh.meta[l].pid == Some(pid) && sh.meta[l].dirty {
-                sh.meta[l].dirty = false;
-                sh.unlink_dirty(l);
+            if t.meta[slot].pid == Some(pid) && t.meta[slot].dirty {
+                t.meta[slot].dirty = false;
+                t.unlink_dirty(slot);
             }
-            sh.stats.checkpoint_writes += 1;
+            t.stats.checkpoint_writes += 1;
         }
         drop(copy);
         clk.wait_until(done);
@@ -685,89 +552,60 @@ impl BufferPool {
 
     /// True if `pid` is resident.
     pub fn contains(&self, pid: PageId) -> bool {
-        self.lock_shard(self.shard_idx(pid)).map.contains_key(&pid)
+        self.latch().map.contains_key(&pid)
     }
 
     /// True if `pid` is resident and dirty.
     pub fn is_dirty(&self, pid: PageId) -> bool {
-        let sh = self.lock_shard(self.shard_idx(pid));
-        sh.map.get(&pid).map(|&l| sh.meta[l].dirty).unwrap_or(false)
+        let t = self.latch();
+        t.map.get(&pid).map(|&s| t.meta[s].dirty).unwrap_or(false)
     }
 
-    /// Number of resident pages (folded in shard order).
+    /// Number of resident pages.
     pub fn resident(&self) -> usize {
-        (0..self.nshards)
-            .map(|i| self.lock_shard(i).map.len())
-            .sum()
+        self.latch().map.len()
     }
 
-    /// Number of dirty resident pages — O(shards), from the per-shard
-    /// dirty-list counters.
+    /// Number of dirty resident pages — O(1), from the dirty-list counter.
     pub fn dirty_count(&self) -> usize {
-        (0..self.nshards).map(|i| self.lock_shard(i).ndirty).sum()
+        self.latch().ndirty
     }
 
-    /// Counter snapshot: per-shard counters folded in shard order, plus
-    /// the latch-contention counters.
+    /// Counter snapshot.
     pub fn stats(&self) -> PoolStats {
-        let mut total = PoolStats::default();
-        for i in 0..self.nshards {
-            let s = self.lock_shard(i).stats;
-            total.hits += s.hits;
-            total.misses += s.misses;
-            total.evictions_clean += s.evictions_clean;
-            total.evictions_dirty += s.evictions_dirty;
-            total.prefetched_pages += s.prefetched_pages;
-            total.expanded_fill_pages += s.expanded_fill_pages;
-            total.checkpoint_writes += s.checkpoint_writes;
-        }
-        for c in &self.locks {
-            total.shard_acquisitions += c.acquisitions.load(Ordering::Relaxed);
-            total.shard_contended += c.contended.load(Ordering::Relaxed);
-        }
-        total
+        self.latch().stats
     }
 
-    /// Replacement-policy counter snapshot (ghost hits, scan cost, …),
-    /// folded across shards in shard order.
+    /// Replacement-policy counter snapshot (ghost hits, scan cost, …).
     pub fn policy_stats(&self) -> PolicyStats {
-        let mut total = PolicyStats::default();
-        for i in 0..self.nshards {
-            let s = self.lock_shard(i).policy.stats();
-            total.ghost_hits += s.ghost_hits;
-            total.scan_steps += s.scan_steps;
-            total.second_chances += s.second_chances;
-            total.probation_evictions += s.probation_evictions;
-            total.protected_evictions += s.protected_evictions;
-        }
-        total
+        self.latch().policy.stats()
     }
 
     /// Short name of the active replacement policy.
     pub fn policy_name(&self) -> &'static str {
-        self.lock_shard(0).policy.name()
+        self.latch().policy.name()
     }
 
     /// Classifier confusion-matrix snapshot (§2.2 accuracy experiment).
     pub fn classifier_stats(&self) -> ClassifierStats {
-        self.classifier.lock().stats()
+        self.latch().classifier.stats()
     }
 
-    fn unpin(&self, shard: usize, local: usize) {
-        let mut sh = self.lock_shard(shard);
-        let m = &mut sh.meta[local];
+    fn unpin(&self, slot: usize) {
+        let mut t = self.latch();
+        let m = &mut t.meta[slot];
         debug_assert!(m.pin > 0, "unpin of unpinned frame");
         m.pin -= 1;
     }
 
-    fn mark_dirty(&self, shard: usize, local: usize, pid: PageId, now: Time) {
-        let mut sh = self.lock_shard(shard);
-        let m = &mut sh.meta[local];
+    fn mark_dirty(&self, slot: usize, pid: PageId, now: Time) {
+        let mut t = self.latch();
+        let m = &mut t.meta[slot];
         debug_assert_eq!(m.pid, Some(pid));
         if !m.dirty {
             m.dirty = true;
-            sh.link_dirty(local);
-            drop(sh);
+            t.link_dirty(slot);
+            drop(t);
             // First dirtying invalidates any SSD copy (paper §2.2).
             self.layer.note_dirtied(now, pid);
         }
@@ -777,9 +615,6 @@ impl BufferPool {
 /// A pinned page. Dropping the guard unpins the frame.
 pub struct PageGuard<'a> {
     pool: &'a BufferPool,
-    shard: usize,
-    local: usize,
-    /// Global data-slot index (`bases[shard] + local`).
     slot: usize,
     pid: PageId,
 }
@@ -798,14 +633,14 @@ impl PageGuard<'_> {
     /// any SSD copy on the first dirtying.
     pub fn write<R>(&mut self, now: Time, f: impl FnOnce(&mut [u8]) -> R) -> R {
         let r = f(self.pool.data[self.slot].write().as_mut_slice());
-        self.pool.mark_dirty(self.shard, self.local, self.pid, now);
+        self.pool.mark_dirty(self.slot, self.pid, now);
         r
     }
 }
 
 impl Drop for PageGuard<'_> {
     fn drop(&mut self) {
-        self.pool.unpin(self.shard, self.local);
+        self.pool.unpin(self.slot);
     }
 }
 
@@ -818,19 +653,10 @@ mod tests {
     const PS: usize = 32;
 
     fn pool(frames: usize, db_pages: u64) -> (Arc<IoManager>, BufferPool) {
-        pool_sharded(frames, db_pages, ShardCount::Fixed(1))
-    }
-
-    fn pool_sharded(
-        frames: usize,
-        db_pages: u64,
-        shards: ShardCount,
-    ) -> (Arc<IoManager>, BufferPool) {
         let io = Arc::new(IoManager::new(&DeviceSetup::paper(PS, db_pages, 8)));
         let layer = Arc::new(DirectIo::new(Arc::clone(&io)));
         let mut cfg = BufferPoolConfig::new(frames, PS, db_pages);
         cfg.fill_expansion = 1; // keep unit tests one-page-per-miss
-        cfg.shards = shards;
         (io, BufferPool::new(cfg, layer))
     }
 
@@ -982,7 +808,6 @@ mod tests {
         let layer = Arc::new(DirectIo::new(Arc::clone(&io)));
         let mut cfg = BufferPoolConfig::new(16, PS, 64);
         cfg.fill_expansion = 8;
-        cfg.shards = ShardCount::Fixed(1);
         let p = BufferPool::new(cfg, layer);
         let mut clk = Clk::new();
         p.get(&mut clk, PageId(10), Locality::Random).unwrap();
@@ -1001,58 +826,6 @@ mod tests {
         };
         assert!((s.hit_rate() - 0.75).abs() < 1e-12);
         assert_eq!(PoolStats::default().hit_rate(), 0.0);
-    }
-
-    #[test]
-    fn sharded_pool_round_trips_and_folds_counters() {
-        let (_io, p) = pool_sharded(16, 256, ShardCount::Fixed(4));
-        assert_eq!(p.shard_count(), 4);
-        let mut clk = Clk::new();
-        for i in 0..32u64 {
-            let mut g = p.get(&mut clk, PageId(i), Locality::Random).unwrap();
-            g.write(clk.now, |b| b[0] = i as u8);
-        }
-        // All 16 frames across the 4 shards should be usable.
-        assert_eq!(p.resident(), 16);
-        let s = p.stats();
-        assert_eq!(s.misses, 32);
-        assert_eq!(s.evictions_clean + s.evictions_dirty, 16);
-        assert!(s.shard_acquisitions > 0, "latch acquisitions counted");
-        assert_eq!(s.shard_contended, 0, "single-threaded: never contended");
-        // Every written page reads back its byte (through eviction).
-        for i in 0..32u64 {
-            let g = p.get(&mut clk, PageId(i), Locality::Random).unwrap();
-            assert_eq!(g.read(|b| b[0]), i as u8, "page {i}");
-        }
-    }
-
-    #[test]
-    fn sharded_checkpoint_writes_ascending_slots() {
-        let (io, p) = pool_sharded(16, 256, ShardCount::Fixed(4));
-        let mut clk = Clk::new();
-        for i in 0..12u64 {
-            let mut g = p.get(&mut clk, PageId(i), Locality::Random).unwrap();
-            g.write(clk.now, |b| b[0] = 0xC0 | i as u8);
-        }
-        assert_eq!(p.dirty_count(), 12);
-        p.checkpoint(&mut clk);
-        assert_eq!(p.dirty_count(), 0);
-        assert_eq!(p.stats().checkpoint_writes, 12);
-        let mut buf = [0u8; PS];
-        io.disk_store().read(PageId(7), &mut buf);
-        assert_eq!(buf[0], 0xC0 | 7);
-    }
-
-    #[test]
-    fn shard_assignment_is_pure_and_stable() {
-        let (_io, p) = pool_sharded(16, 4096, ShardCount::Fixed(4));
-        for k in 0..4096u64 {
-            assert_eq!(
-                p.shard_idx(PageId(k)),
-                shard_of(k, 4),
-                "routing is the published pure function"
-            );
-        }
     }
 
     #[test]

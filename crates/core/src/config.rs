@@ -1,7 +1,7 @@
 //! SSD-manager configuration (the paper's Table 2 parameters, plus the
 //! robustness extensions' retry / fail-slow / congestion knobs).
 
-use turbopool_bufpool::{AdmissionKind, ShardCount};
+use turbopool_bufpool::AdmissionKind;
 use turbopool_iosim::RetryPolicy;
 
 /// Which dirty-page design the SSD manager runs.
@@ -118,13 +118,6 @@ pub struct SsdConfig {
     /// (random-class-only for CW/DW/LC, extent temperature for TAC) and
     /// is regression-gated; the alternatives feed the policy-arena bench.
     pub admission: AdmissionKind,
-    /// Lock stripes for the TAC buffer table (ISSUE 9). Routed by extent
-    /// so temperature comparisons stay within one shard. `Auto` resolves
-    /// against a hint of 1 here (= the legacy single latch); the engine
-    /// resolves its `tac_shards`/`shard_hint` knobs into `Fixed(n)`
-    /// before constructing the cache. Ignored by `SsdManager`, which has
-    /// its own `partitions` striping (§3.3.4).
-    pub tac_shards: ShardCount,
 }
 
 impl SsdConfig {
@@ -150,7 +143,6 @@ impl SsdConfig {
             cleaner_idle_depth: 1,
             cleaner_dirty_ceiling: 0.75,
             admission: AdmissionKind::DesignDefault,
-            tac_shards: ShardCount::Auto,
         }
     }
 

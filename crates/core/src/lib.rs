@@ -34,7 +34,6 @@ pub mod config;
 pub mod heaps;
 pub mod manager;
 pub mod metrics;
-pub mod pagebuf;
 pub mod partition;
 pub mod tac;
 
@@ -44,5 +43,4 @@ pub use coherence::{classify, CoherenceCase, CoherenceViolation};
 pub use config::{MultiPageMode, SsdConfig, SsdDesign};
 pub use manager::{ImportReport, SsdManager};
 pub use metrics::SsdMetrics;
-pub use pagebuf::PageBufPool;
 pub use tac::TacCache;

@@ -14,13 +14,12 @@ use std::sync::Arc;
 use turbopool_bufpool::{AdmissionPolicy, AdmitVerdict, PageIo};
 use turbopool_iosim::sync::{Mutex, MutexGuard};
 use turbopool_iosim::{
-    fault, Clk, IoError, IoErrorKind, IoManager, Locality, PageBuf, PageId, Time,
+    fault, Clk, IoError, IoErrorKind, IoManager, Locality, PageBuf, PageBufPool, PageId, Time,
 };
 
 use crate::audit::{AuditOp, InvariantAuditor};
 use crate::config::{MultiPageMode, SsdConfig, SsdDesign};
 use crate::metrics::SsdMetrics;
-use crate::pagebuf::PageBufPool;
 use crate::partition::Partition;
 
 /// What [`SsdManager::plan_reclaim`] decided under the partition latch.
@@ -191,7 +190,7 @@ impl SsdManager {
         }
         SsdMetrics::bump(&self.metrics.ssd_quarantined);
         for i in 0..self.parts.len() {
-            let mut part = self.part_at(i);
+            let mut part = self.parts[i].lock();
             let idxs: Vec<usize> = part.iter().map(|(idx, _)| idx).collect();
             let mut recs = Vec::with_capacity(idxs.len());
             for idx in idxs {
@@ -347,20 +346,7 @@ impl SsdManager {
     }
 
     fn part(&self, pid: PageId) -> MutexGuard<'_, Partition> {
-        self.part_at(self.part_index(pid))
-    }
-
-    /// Acquire partition `idx`'s latch, counting the acquisition and
-    /// whether it was contended (latch held by another OS thread at that
-    /// instant). Both counters are pure functions of the op sequence in
-    /// deterministic driver runs (contended is then always 0).
-    fn part_at(&self, idx: usize) -> MutexGuard<'_, Partition> {
-        SsdMetrics::bump(&self.metrics.shard_acquisitions);
-        if let Some(g) = self.parts[idx].try_lock() {
-            return g;
-        }
-        SsdMetrics::bump(&self.metrics.shard_contended);
-        self.parts[idx].lock()
+        self.parts[self.part_index(pid)].lock()
     }
 
     fn next_stamp(&self) -> u64 {
@@ -590,7 +576,7 @@ impl SsdManager {
     pub fn export_table(&self) -> Vec<(PageId, u64)> {
         let mut out = Vec::with_capacity(self.occupancy() as usize);
         for i in 0..self.parts.len() {
-            let part = self.part_at(i);
+            let part = self.parts[i].lock();
             out.extend(
                 part.iter()
                     .filter(|(_, r)| !r.dirty)
@@ -619,7 +605,7 @@ impl SsdManager {
             // The frame must belong to the partition that pid routes to
             // (it does unless the partition count changed across restart).
             let part_idx = self.part_index(pid);
-            let mut part = self.part_at(part_idx);
+            let mut part = self.parts[part_idx].lock();
             let base = part.frame_no(0);
             let cap = part.capacity() as u64;
             if frame < base || frame >= base + cap {
@@ -691,7 +677,7 @@ impl SsdManager {
                 }
             }
             let part_idx = self.part_index(pid);
-            let mut part = self.part_at(part_idx);
+            let mut part = self.parts[part_idx].lock();
             let base = part.frame_no(0);
             let cap = part.capacity() as u64;
             if frame < base || frame >= base + cap {
@@ -726,7 +712,7 @@ impl SsdManager {
         // Globally oldest dirty page.
         let mut anchor: Option<(u64, u64, PageId)> = None;
         for i in 0..self.parts.len() {
-            let part = self.part_at(i);
+            let part = self.parts[i].lock();
             if let Some((key, idx)) = part.peek_dirty_oldest() {
                 let pid = part.record(idx).pid;
                 if anchor.map(|(k0, k1, _)| key < (k0, k1)).unwrap_or(true) {
@@ -1270,7 +1256,7 @@ impl PageIo for SsdManager {
         // Sharp checkpoint: every dirty SSD page goes to disk (§3.2).
         let mut dirty_pids: Vec<PageId> = Vec::new();
         for i in 0..self.parts.len() {
-            let part = self.part_at(i);
+            let part = self.parts[i].lock();
             dirty_pids.extend(part.iter().filter(|(_, r)| r.dirty).map(|(_, r)| r.pid));
         }
         dirty_pids.sort_unstable();

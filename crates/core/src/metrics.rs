@@ -90,14 +90,6 @@ pub struct SsdMetrics {
     /// Lazy-cleaner rounds run opportunistically below the high-water
     /// mark because the disk group was idle.
     pub cleaner_boosts: AtomicU64,
-    /// Buffer-table shard/partition latch acquisitions (ISSUE 9). A pure
-    /// function of the operation sequence in deterministic driver runs,
-    /// so it participates safely in replay equality checks.
-    pub shard_acquisitions: AtomicU64,
-    /// Shard/partition latch acquisitions that found the latch held by
-    /// another OS thread. Always 0 in deterministic driver runs (domains
-    /// are share-nothing); nonzero only under real-thread contention.
-    pub shard_contended: AtomicU64,
 }
 
 /// Plain-value snapshot of [`SsdMetrics`].
@@ -136,8 +128,6 @@ pub struct SsdMetricsSnapshot {
     pub ssd_retries: u64,
     pub cleaner_backoffs: u64,
     pub cleaner_boosts: u64,
-    pub shard_acquisitions: u64,
-    pub shard_contended: u64,
 }
 
 impl SsdMetrics {
@@ -176,8 +166,6 @@ impl SsdMetrics {
             ssd_retries: self.ssd_retries.load(Ordering::Relaxed),
             cleaner_backoffs: self.cleaner_backoffs.load(Ordering::Relaxed),
             cleaner_boosts: self.cleaner_boosts.load(Ordering::Relaxed),
-            shard_acquisitions: self.shard_acquisitions.load(Ordering::Relaxed),
-            shard_contended: self.shard_contended.load(Ordering::Relaxed),
         }
     }
 

@@ -26,22 +26,14 @@
 //! * **Logical-invalidation waste** — invalid frames keep occupying SSD
 //!   space ([`TacCache::invalid_frames`] reproduces the 7.4–10.4 GB waste
 //!   numbers of §2.5).
-//!
-//! Since ISSUE 9 the buffer table is *lock-striped* (mirroring the
-//! partition layout `SsdManager` has had since §3.3.4): N shards, routed
-//! by **extent** hash so the temperature heap, extent table, and
-//! coldest-extent comparisons all stay within one shard. Each shard owns
-//! a contiguous range of global SSD frames, cross-shard totals fold in
-//! shard order, and `shards = 1` reproduces the single-latch cache
-//! bit-for-bit.
 
 use std::collections::HashMap;
 
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
-use turbopool_iosim::sync::{Mutex, MutexGuard};
+use turbopool_iosim::sync::Mutex;
 
-use turbopool_bufpool::{shard_of, AdmissionKind, AdmissionPolicy, AdmitVerdict, PageIo};
+use turbopool_bufpool::{AdmissionKind, AdmissionPolicy, AdmitVerdict, PageIo};
 use turbopool_iosim::{
     fault, Clk, IoError, IoErrorKind, IoManager, Locality, PageBuf, PageId, Time,
 };
@@ -60,27 +52,19 @@ struct TacRec {
     valid_at: Time,
 }
 
-/// One lock stripe of the TAC buffer table. Frame indices inside a shard
-/// are *local* (`0 .. records.len()`); the global SSD frame number is
-/// `base + local`.
-struct TacShard {
-    /// First global SSD frame owned by this shard (contiguous split).
-    base: u64,
-    /// `records[local]` — this shard's slice of the SSD buffer table.
+/// The TAC buffer table: everything the cache latch protects.
+struct TacTable {
+    /// `records[frame]` — the SSD buffer table.
     records: Vec<Option<TacRec>>,
     map: HashMap<PageId, usize>,
     free: Vec<usize>,
-    /// Extent number → accumulated saved-time temperature (ns). Extents
-    /// route whole to one shard, so comparisons never cross stripes.
+    /// Extent number → accumulated saved-time temperature (ns).
     temps: HashMap<u64, u64>,
-    /// Lazy min-heap of (temperature snapshot, local frame) over *valid*
-    /// frames.
+    /// Lazy min-heap of (temperature snapshot, frame) over *valid* frames.
     heap: std::collections::BinaryHeap<std::cmp::Reverse<(u64, usize)>>,
     /// Occupied frames holding logically invalid pages — maintained
     /// incrementally so `invalid_frames` never scans the table.
     invalid: u64,
-    /// This shard's share of the aggressive-filling target τ·S.
-    fill_target: usize,
 }
 
 /// The TAC SSD cache, implementing the same [`PageIo`] seam as
@@ -88,8 +72,7 @@ struct TacShard {
 pub struct TacCache {
     cfg: SsdConfig,
     io: Arc<IoManager>,
-    shards: Vec<Mutex<TacShard>>,
-    nshards: usize,
+    table: Mutex<TacTable>,
     /// True once the SSD has been quarantined; TAC then runs write-through
     /// to disk only (its natural degradation — nothing is ever stranded).
     quarantined: AtomicBool,
@@ -113,37 +96,18 @@ impl TacCache {
         assert!(cfg.frames <= io.ssd_frames(), "SSD file too small");
         let frames = cfg.frames as usize;
         let admission = cfg.admission.build(frames);
-        // `Auto` resolves against a hint of 1 (legacy single latch); the
-        // engine pre-resolves its shard knobs into `Fixed(n)`.
-        let nshards = cfg.tac_shards.resolve(1, frames.max(1));
-        let fill_total = cfg.fill_target();
-        let mut shards = Vec::with_capacity(nshards);
-        let mut base = 0u64;
-        for i in 0..nshards {
-            let count = frames / nshards + usize::from(i < frames % nshards);
-            shards.push(Mutex::new(TacShard {
-                base,
-                records: vec![None; count],
-                map: HashMap::with_capacity(count),
-                free: (0..count).rev().collect(),
-                temps: HashMap::new(),
-                heap: std::collections::BinaryHeap::new(),
-                invalid: 0,
-                fill_target: if frames == 0 {
-                    0
-                } else {
-                    (fill_total * count as u64 / frames as u64) as usize
-                },
-            }));
-            base += count as u64;
-        }
-        debug_assert_eq!(base, cfg.frames);
         TacCache {
             admission,
             cfg,
             io,
-            shards,
-            nshards,
+            table: Mutex::new(TacTable {
+                records: vec![None; frames],
+                map: HashMap::with_capacity(frames),
+                free: (0..frames).rev().collect(),
+                temps: HashMap::new(),
+                heap: std::collections::BinaryHeap::new(),
+                invalid: 0,
+            }),
             quarantined: AtomicBool::new(false),
             ssd_errors: AtomicU64::new(0),
             probe_tick: AtomicU64::new(0),
@@ -152,37 +116,14 @@ impl TacCache {
         }
     }
 
-    /// Resolved shard count (for benches/tests).
-    pub fn shard_count(&self) -> usize {
-        self.nshards
-    }
-
-    /// Which shard owns `pid` — extents route whole so temperature
-    /// comparisons stay within one stripe. A pure function of the page id.
-    #[inline]
-    fn shard_for(&self, pid: PageId) -> usize {
-        shard_of(self.extent(pid), self.nshards)
-    }
-
-    /// Acquire shard `i`'s latch, counting the acquisition and whether it
-    /// was contended (latch held by another OS thread at that instant).
-    fn lock_shard(&self, i: usize) -> MutexGuard<'_, TacShard> {
-        SsdMetrics::bump(&self.metrics.shard_acquisitions);
-        if let Some(g) = self.shards[i].try_lock() {
-            return g;
-        }
-        SsdMetrics::bump(&self.metrics.shard_contended);
-        self.shards[i].lock()
-    }
-
     /// True once the SSD is quarantined and TAC runs disk-only.
     pub fn is_quarantined(&self) -> bool {
         self.quarantined.load(Ordering::Relaxed)
     }
 
     /// Record one SSD I/O error; quarantine on device death or once the
-    /// error budget is exhausted. Must not be called while a shard latch
-    /// is held (quarantine re-locks the shards to sweep the table).
+    /// error budget is exhausted. Must not be called while `table` is held
+    /// (quarantine re-locks it to sweep the table).
     fn note_ssd_error(&self, e: &IoError) {
         SsdMetrics::bump(&self.metrics.ssd_io_errors);
         if e.kind == IoErrorKind::ChecksumMismatch {
@@ -195,26 +136,27 @@ impl TacCache {
     }
 
     /// Drop the whole cache and refuse all future SSD traffic. TAC is
-    /// write-through, so no data is lost — only hits. Shards are swept in
-    /// shard order so the audit stream stays deterministic.
+    /// write-through, so no data is lost — only hits. The table is swept
+    /// in frame order so the audit stream stays deterministic.
     fn quarantine(&self) {
         if self.quarantined.swap(true, Ordering::SeqCst) {
             return;
         }
         SsdMetrics::bump(&self.metrics.ssd_quarantined);
-        let mut live: Vec<PageId> = Vec::new();
-        for i in 0..self.nshards {
-            let mut sh = self.lock_shard(i);
-            live.extend(sh.records.iter().flatten().map(|r| r.pid));
-            for rec in sh.records.iter_mut() {
-                *rec = None;
-            }
-            sh.map.clear();
-            sh.free.clear();
-            sh.heap.clear();
-            sh.temps.clear();
-            sh.invalid = 0;
-        }
+        let live: Vec<PageId> = {
+            let mut table = self.table.lock();
+            table.map.clear();
+            table.free.clear();
+            table.heap.clear();
+            table.temps.clear();
+            table.invalid = 0;
+            table
+                .records
+                .iter_mut()
+                .filter_map(Option::take)
+                .map(|r| r.pid)
+                .collect()
+        };
         for pid in live {
             self.audit(pid, AuditOp::Quarantine);
             SsdMetrics::bump(&self.metrics.lost_frames);
@@ -224,22 +166,21 @@ impl TacCache {
     /// Drop `pid`'s SSD copy after a failed frame read. Write-through: the
     /// copy was never the only current version, so nothing is lost.
     fn drop_corrupt(&self, pid: PageId) {
-        let mut sh = self.lock_shard(self.shard_for(pid));
-        if let Some(local) = sh.map.remove(&pid) {
+        let mut table = self.table.lock();
+        if let Some(frame) = table.map.remove(&pid) {
             // lint: allow(panic) — map/records consistency: a mapped frame always holds a record.
-            let rec = sh.records[local].take().unwrap();
+            let rec = table.records[frame].take().unwrap();
             if !rec.valid {
-                sh.invalid -= 1;
+                table.invalid -= 1;
             }
-            sh.free.push(local);
-            drop(sh);
+            table.free.push(frame);
+            drop(table);
             self.audit(pid, AuditOp::CorruptInvalidate);
             SsdMetrics::bump(&self.metrics.lost_frames);
         }
     }
 
-    /// SSD frame read with transient-error retries on `clk`. `frame` is a
-    /// *global* SSD frame number.
+    /// SSD frame read with transient-error retries on `clk`.
     fn ssd_read(&self, clk: &mut Clk, frame: u64, buf: &mut [u8]) -> Result<(), IoError> {
         let (retries, out) =
             fault::retry_sync_with(&self.cfg.retry, clk, |c| self.io.read_ssd(c, frame, buf));
@@ -294,36 +235,35 @@ impl TacCache {
         }
     }
 
-    /// Occupied frames (valid + invalid), folded in shard order.
+    /// Occupied frames (valid + invalid).
     pub fn occupancy(&self) -> u64 {
-        (0..self.nshards)
-            .map(|i| self.lock_shard(i).map.len() as u64)
-            .sum()
+        self.table.lock().map.len() as u64
     }
 
-    /// Frames wasted on logically invalid pages (§2.5) — O(shards), from
-    /// the incrementally maintained per-shard counters.
+    /// Frames wasted on logically invalid pages (§2.5) — O(1), from the
+    /// incrementally maintained counter.
     pub fn invalid_frames(&self) -> u64 {
-        (0..self.nshards).map(|i| self.lock_shard(i).invalid).sum()
+        self.table.lock().invalid
     }
 
     /// SSD frame holding a *valid* copy of `pid`, if any (introspection).
     pub fn frame_of_valid(&self, pid: PageId) -> Option<u64> {
-        let sh = self.lock_shard(self.shard_for(pid));
-        sh.map.get(&pid).and_then(|&l| {
+        let table = self.table.lock();
+        table.map.get(&pid).and_then(|&l| {
             // lint: allow(panic) — map/records consistency: a mapped frame always holds a record.
-            let rec = sh.records[l].unwrap();
-            rec.valid.then_some(sh.base + l as u64)
+            let rec = table.records[l].unwrap();
+            rec.valid.then_some(l as u64)
         })
     }
 
     /// True if `pid` has a valid SSD copy.
     pub fn contains_valid(&self, pid: PageId) -> bool {
-        let sh = self.lock_shard(self.shard_for(pid));
-        sh.map
+        let table = self.table.lock();
+        table
+            .map
             .get(&pid)
             // lint: allow(panic) — map/records consistency: a mapped frame always holds a record.
-            .map(|&l| sh.records[l].unwrap().valid)
+            .map(|&l| table.records[l].unwrap().valid)
             .unwrap_or(false)
     }
 
@@ -375,26 +315,26 @@ impl TacCache {
     }
 
     /// Record a memory-pool miss of `pid`: heat its extent.
-    fn heat(&self, sh: &mut TacShard, pid: PageId, class: Locality) {
+    fn heat(&self, table: &mut TacTable, pid: PageId, class: Locality) {
         let e = self.extent(pid);
         let saved = self.saved_ns(class);
-        *sh.temps.entry(e).or_insert(0) += saved;
+        *table.temps.entry(e).or_insert(0) += saved;
     }
 
-    /// Find the coldest valid SSD frame in this shard: pop the lazy heap,
-    /// reinserting entries whose temperature grew since they were pushed
-    /// (temperatures only increase, so this terminates).
-    fn pop_coldest_valid(&self, sh: &mut TacShard) -> Option<(u64, usize)> {
-        while let Some(std::cmp::Reverse((snap, frame))) = sh.heap.pop() {
-            let Some(rec) = sh.records[frame] else {
+    /// Find the coldest valid SSD frame: pop the lazy heap, reinserting
+    /// entries whose temperature grew since they were pushed (temperatures
+    /// only increase, so this terminates).
+    fn pop_coldest_valid(&self, table: &mut TacTable) -> Option<(u64, usize)> {
+        while let Some(std::cmp::Reverse((snap, frame))) = table.heap.pop() {
+            let Some(rec) = table.records[frame] else {
                 continue;
             };
             if !rec.valid {
                 continue;
             }
-            let cur = *sh.temps.get(&self.extent(rec.pid)).unwrap_or(&0);
+            let cur = *table.temps.get(&self.extent(rec.pid)).unwrap_or(&0);
             if cur != snap {
-                sh.heap.push(std::cmp::Reverse((cur, frame)));
+                table.heap.push(std::cmp::Reverse((cur, frame)));
                 continue;
             }
             return Some((snap, frame));
@@ -408,14 +348,14 @@ impl TacCache {
     /// exists, else replace the coldest valid resident page. Used by the
     /// non-default admission kinds, which decide *whether* to admit
     /// without consulting temperature but still evict coldest-first.
-    fn place_replacing_coldest(&self, sh: &mut TacShard) -> Option<usize> {
-        if let Some(f) = sh.free.pop() {
+    fn place_replacing_coldest(&self, table: &mut TacTable) -> Option<usize> {
+        if let Some(f) = table.free.pop() {
             return Some(f);
         }
-        let (_cold, cold_frame) = self.pop_coldest_valid(sh)?;
+        let (_cold, cold_frame) = self.pop_coldest_valid(table)?;
         // lint: allow(panic) — cold_frame came off the temperature heap, which only holds mapped frames.
-        let old = sh.records[cold_frame].take().unwrap();
-        sh.map.remove(&old.pid);
+        let old = table.records[cold_frame].take().unwrap();
+        table.map.remove(&old.pid);
         self.audit(old.pid, AuditOp::Replace);
         SsdMetrics::bump(&self.metrics.replacements);
         self.admission.note_evicted(old.pid);
@@ -434,33 +374,30 @@ impl TacCache {
             SsdMetrics::bump(&self.metrics.hedged_admissions);
             return;
         }
-        let shard = self.shard_for(pid);
-        let mut sh = self.lock_shard(shard);
-        if sh.map.contains_key(&pid) {
+        let mut table = self.table.lock();
+        if table.map.contains_key(&pid) {
             return;
         }
-        let filling = sh.map.len() < sh.fill_target;
+        let filling = table.map.len() < self.cfg.fill_target() as usize;
         let frame = match self.cfg.admission {
             AdmissionKind::DesignDefault => {
                 if filling {
                     // Aggressive filling: admit everything while below τ.
-                    sh.free.pop()
+                    table.free.pop()
                 } else {
                     // Qualified admission: the page's extent must be hotter
-                    // than the coldest extent resident in the SSD (shard —
-                    // extents route whole, so the comparison set is exactly
-                    // the extents this page competes with).
-                    let my_temp = *sh.temps.get(&self.extent(pid)).unwrap_or(&0);
-                    match self.pop_coldest_valid(&mut sh) {
+                    // than the coldest extent resident in the SSD.
+                    let my_temp = *table.temps.get(&self.extent(pid)).unwrap_or(&0);
+                    match self.pop_coldest_valid(&mut table) {
                         Some((cold, cold_frame)) if my_temp > cold => {
-                            if let Some(f) = sh.free.pop() {
+                            if let Some(f) = table.free.pop() {
                                 // A free frame exists; keep the cold page.
-                                sh.heap.push(std::cmp::Reverse((cold, cold_frame)));
+                                table.heap.push(std::cmp::Reverse((cold, cold_frame)));
                                 Some(f)
                             } else {
                                 // lint: allow(panic) — cold_frame came off the temperature heap, which only holds mapped frames.
-                                let old = sh.records[cold_frame].take().unwrap();
-                                sh.map.remove(&old.pid);
+                                let old = table.records[cold_frame].take().unwrap();
+                                table.map.remove(&old.pid);
                                 self.audit(old.pid, AuditOp::Replace);
                                 SsdMetrics::bump(&self.metrics.replacements);
                                 Some(cold_frame)
@@ -468,23 +405,23 @@ impl TacCache {
                         }
                         Some((cold, cold_frame)) => {
                             // Not hot enough; put the candidate back.
-                            sh.heap.push(std::cmp::Reverse((cold, cold_frame)));
+                            table.heap.push(std::cmp::Reverse((cold, cold_frame)));
                             SsdMetrics::bump(&self.metrics.policy_rejections);
                             None
                         }
                         // No valid page to compare against: admit if space
                         // exists.
-                        None => sh.free.pop(),
+                        None => table.free.pop(),
                     }
                 }
             }
             AdmissionKind::AdmitAll | AdmissionKind::GhostHit => {
                 let verdict = self.admission.admit(pid, class, filling);
                 match verdict {
-                    AdmitVerdict::Admit => self.place_replacing_coldest(&mut sh),
+                    AdmitVerdict::Admit => self.place_replacing_coldest(&mut table),
                     AdmitVerdict::AdmitGhost => {
                         SsdMetrics::bump(&self.metrics.admission_ghost_hits);
-                        self.place_replacing_coldest(&mut sh)
+                        self.place_replacing_coldest(&mut table)
                     }
                     AdmitVerdict::Reject => {
                         SsdMetrics::bump(&self.metrics.policy_rejections);
@@ -494,37 +431,36 @@ impl TacCache {
             }
         };
         let Some(frame) = frame else { return };
-        let global = sh.base + frame as u64;
         // Reserve the frame and submit the write *outside* the latch: the
         // frame is in neither the free list nor the map, so no other path
         // can claim it while the latch is released. Install only on a
         // successful submission — a gate failure (dead or transient) must
         // not leave a record pointing at unwritten bytes.
-        drop(sh);
-        let done = match self.io.write_ssd_async(now, global, data, pid) {
+        drop(table);
+        let done = match self.io.write_ssd_async(now, frame as u64, data, pid) {
             Ok(t) => t,
             Err(e) => {
-                self.lock_shard(shard).free.push(frame);
+                self.table.lock().free.push(frame);
                 self.note_ssd_error(&e);
                 return;
             }
         };
-        let mut sh = self.lock_shard(shard);
-        if sh.map.contains_key(&pid) {
+        let mut table = self.table.lock();
+        if table.map.contains_key(&pid) {
             // Lost a race: another admission installed `pid` while the
             // latch was released. The submitted write is a harmless booking
             // against a frame that goes straight back to the free list.
-            sh.free.push(frame);
+            table.free.push(frame);
             return;
         }
-        sh.records[frame] = Some(TacRec {
+        table.records[frame] = Some(TacRec {
             pid,
             valid: true,
             valid_at: done,
         });
-        sh.map.insert(pid, frame);
-        let temp = *sh.temps.get(&self.extent(pid)).unwrap_or(&0);
-        sh.heap.push(std::cmp::Reverse((temp, frame)));
+        table.map.insert(pid, frame);
+        let temp = *table.temps.get(&self.extent(pid)).unwrap_or(&0);
+        table.heap.push(std::cmp::Reverse((temp, frame)));
         self.audit(pid, AuditOp::Admit { dirty: false });
         SsdMetrics::bump(&self.metrics.admissions);
         if filling {
@@ -535,8 +471,7 @@ impl TacCache {
     /// Extent temperature accessor for unit tests.
     #[cfg(test)]
     fn extent_temp(&self, extent: u64) -> u64 {
-        let sh = self.lock_shard(shard_of(extent, self.nshards));
-        *sh.temps.get(&extent).unwrap_or(&0)
+        *self.table.lock().temps.get(&extent).unwrap_or(&0)
     }
 }
 
@@ -554,14 +489,14 @@ impl PageIo for TacCache {
             return self.disk_read(clk, pid, class, buf);
         }
         let hit: Option<u64> = {
-            let mut sh = self.lock_shard(self.shard_for(pid));
+            let mut table = self.table.lock();
             // Every memory-pool miss heats the extent, wherever it is
             // served from.
-            self.heat(&mut sh, pid, class);
-            match sh.map.get(&pid) {
-                Some(&local) => {
+            self.heat(&mut table, pid, class);
+            match table.map.get(&pid) {
+                Some(&frame) => {
                     // lint: allow(panic) — map/records consistency: a mapped frame always holds a record.
-                    let rec = sh.records[local].unwrap();
+                    let rec = table.records[frame].unwrap();
                     // The copy must be valid AND its installing write
                     // complete; a usable hit still diverts to disk under
                     // throttle (§3.3.2) or a fail-slow flag (hedging).
@@ -573,7 +508,7 @@ impl PageIo for TacCache {
                             SsdMetrics::bump(&self.metrics.hedged_reads);
                             None
                         } else {
-                            Some(sh.base + local as u64)
+                            Some(frame as u64)
                         }
                     } else {
                         None
@@ -618,23 +553,24 @@ impl PageIo for TacCache {
         let mut done = now0;
         let hedging = self.hedge_or_probe();
         let throttled = self.throttled(now0) || hedging;
-        // Per-page status probe: each page's shard is locked in run order
-        // (one at a time — never two shard latches together).
-        let status: Vec<Option<u64>> = (0..n)
-            .map(|i| {
-                let pid = first.offset(i);
-                let sh = self.lock_shard(self.shard_for(pid));
-                sh.map.get(&pid).and_then(|&l| {
-                    // lint: allow(panic) — map/records consistency: a mapped frame always holds a record.
-                    let rec = sh.records[l].unwrap();
-                    let usable = rec.valid && now0 >= rec.valid_at;
-                    if usable && hedging {
-                        SsdMetrics::bump(&self.metrics.hedged_reads);
-                    }
-                    (usable && !throttled).then_some(sh.base + l as u64)
+        // Per-page status probe, under one latch for the whole run.
+        let status: Vec<Option<u64>> = {
+            let table = self.table.lock();
+            (0..n)
+                .map(|i| {
+                    let pid = first.offset(i);
+                    table.map.get(&pid).and_then(|&l| {
+                        // lint: allow(panic) — map/records consistency: a mapped frame always holds a record.
+                        let rec = table.records[l].unwrap();
+                        let usable = rec.valid && now0 >= rec.valid_at;
+                        if usable && hedging {
+                            SsdMetrics::bump(&self.metrics.hedged_reads);
+                        }
+                        (usable && !throttled).then_some(l as u64)
+                    })
                 })
-            })
-            .collect();
+                .collect()
+        };
         let mut lead = 0usize;
         while lead < n as usize && status[lead].is_some() {
             lead += 1;
@@ -717,33 +653,32 @@ impl PageIo for TacCache {
         // exactly that), and keeping it would serve lost updates.
         let mut pending: Option<IoError> = None;
         {
-            let mut sh = self.lock_shard(self.shard_for(pid));
-            if let Some(&frame) = sh.map.get(&pid) {
+            let mut table = self.table.lock();
+            if let Some(&frame) = table.map.get(&pid) {
                 // lint: allow(panic) — map/records consistency: a mapped frame always holds a record.
-                let rec = sh.records[frame].unwrap();
+                let rec = table.records[frame].unwrap();
                 let hedging = !self.throttled(now) && self.hedge_or_probe();
                 if hedging {
                     // No refresh traffic to a browned-out SSD.
                     SsdMetrics::bump(&self.metrics.hedged_admissions);
                 }
                 if !self.throttled(now) && !hedging {
-                    let global = sh.base + frame as u64;
                     // lint: allow(lock-across-io) — the refresh-or-invalidate
                     // decision must be atomic with the record's state, and
                     // write_ssd_async is an O(1) non-blocking booking; no
-                    // other latch is ever taken under the shard latch.
-                    match self.io.write_ssd_async(now, global, data, pid) {
+                    // other latch is ever taken under the table latch.
+                    match self.io.write_ssd_async(now, frame as u64, data, pid) {
                         Ok(done) => {
-                            sh.records[frame] = Some(TacRec {
+                            table.records[frame] = Some(TacRec {
                                 pid,
                                 valid: true,
                                 valid_at: done,
                             });
                             if !rec.valid {
-                                sh.invalid -= 1;
+                                table.invalid -= 1;
                             }
-                            let temp = *sh.temps.get(&self.extent(pid)).unwrap_or(&0);
-                            sh.heap.push(std::cmp::Reverse((temp, frame)));
+                            let temp = *table.temps.get(&self.extent(pid)).unwrap_or(&0);
+                            table.heap.push(std::cmp::Reverse((temp, frame)));
                             self.audit(pid, AuditOp::Refresh);
                             if !rec.valid {
                                 SsdMetrics::bump(&self.metrics.admissions);
@@ -753,11 +688,11 @@ impl PageIo for TacCache {
                             // Refresh failed: the SSD version (if valid) is
                             // now stale and must never be read again.
                             if rec.valid {
-                                sh.records[frame] = Some(TacRec {
+                                table.records[frame] = Some(TacRec {
                                     valid: false,
                                     ..rec
                                 });
-                                sh.invalid += 1;
+                                table.invalid += 1;
                                 self.audit(pid, AuditOp::LogicalInvalidate);
                                 SsdMetrics::bump(&self.metrics.invalidations);
                             }
@@ -767,11 +702,11 @@ impl PageIo for TacCache {
                 } else if rec.valid {
                     // Cannot rewrite under throttle or brownout: invalidate
                     // so the stale version can never be read.
-                    sh.records[frame] = Some(TacRec {
+                    table.records[frame] = Some(TacRec {
                         valid: false,
                         ..rec
                     });
-                    sh.invalid += 1;
+                    table.invalid += 1;
                     self.audit(pid, AuditOp::LogicalInvalidate);
                     SsdMetrics::bump(&self.metrics.invalidations);
                 }
@@ -783,27 +718,27 @@ impl PageIo for TacCache {
     }
 
     fn note_dirtied(&self, now: Time, pid: PageId) {
-        let mut sh = self.lock_shard(self.shard_for(pid));
-        if let Some(&frame) = sh.map.get(&pid) {
+        let mut table = self.table.lock();
+        if let Some(&frame) = table.map.get(&pid) {
             // lint: allow(panic) — map/records consistency: a mapped frame always holds a record.
-            let rec = sh.records[frame].unwrap();
+            let rec = table.records[frame].unwrap();
             if rec.valid {
                 if now < rec.valid_at {
                     // The on-read SSD write had not completed: it is
                     // cancelled outright; the page never reaches the SSD
                     // (the §4.2 race that hurts TAC on update-heavy loads).
-                    sh.records[frame] = None;
-                    sh.map.remove(&pid);
-                    sh.free.push(frame);
+                    table.records[frame] = None;
+                    table.map.remove(&pid);
+                    table.free.push(frame);
                     self.audit(pid, AuditOp::Cancel);
                     SsdMetrics::bump(&self.metrics.tac_cancelled_writes);
                 } else {
                     // Logical invalidation: the frame stays occupied.
-                    sh.records[frame] = Some(TacRec {
+                    table.records[frame] = Some(TacRec {
                         valid: false,
                         ..rec
                     });
-                    sh.invalid += 1;
+                    table.invalid += 1;
                     self.audit(pid, AuditOp::LogicalInvalidate);
                     SsdMetrics::bump(&self.metrics.invalidations);
                 }
@@ -825,42 +760,41 @@ impl PageIo for TacCache {
         // disk copy advances here, so no older SSD version may stay valid.
         let mut pending: Option<IoError> = None;
         {
-            let mut sh = self.lock_shard(self.shard_for(pid));
-            if let Some(&frame) = sh.map.get(&pid) {
+            let mut table = self.table.lock();
+            if let Some(&frame) = table.map.get(&pid) {
                 // lint: allow(panic) — map/records consistency: a mapped frame always holds a record.
-                let rec = sh.records[frame].unwrap();
+                let rec = table.records[frame].unwrap();
                 let hedging = !self.throttled(now) && self.hedge_or_probe();
                 if hedging {
                     // No refresh traffic to a browned-out SSD.
                     SsdMetrics::bump(&self.metrics.hedged_admissions);
                 }
                 if !self.throttled(now) && !hedging {
-                    let global = sh.base + frame as u64;
                     // lint: allow(lock-across-io) — the refresh-or-invalidate
                     // decision must be atomic with the record's state, and
                     // write_ssd_async is an O(1) non-blocking booking; no
-                    // other latch is ever taken under the shard latch.
-                    match self.io.write_ssd_async(now, global, data, pid) {
+                    // other latch is ever taken under the table latch.
+                    match self.io.write_ssd_async(now, frame as u64, data, pid) {
                         Ok(wdone) => {
-                            sh.records[frame] = Some(TacRec {
+                            table.records[frame] = Some(TacRec {
                                 pid,
                                 valid: true,
                                 valid_at: wdone,
                             });
                             if !rec.valid {
-                                sh.invalid -= 1;
+                                table.invalid -= 1;
                             }
-                            let temp = *sh.temps.get(&self.extent(pid)).unwrap_or(&0);
-                            sh.heap.push(std::cmp::Reverse((temp, frame)));
+                            let temp = *table.temps.get(&self.extent(pid)).unwrap_or(&0);
+                            table.heap.push(std::cmp::Reverse((temp, frame)));
                             self.audit(pid, AuditOp::Refresh);
                         }
                         Err(e) => {
                             if rec.valid {
-                                sh.records[frame] = Some(TacRec {
+                                table.records[frame] = Some(TacRec {
                                     valid: false,
                                     ..rec
                                 });
-                                sh.invalid += 1;
+                                table.invalid += 1;
                                 self.audit(pid, AuditOp::LogicalInvalidate);
                                 SsdMetrics::bump(&self.metrics.invalidations);
                             }
@@ -870,11 +804,11 @@ impl PageIo for TacCache {
                 } else if rec.valid {
                     // Cannot rewrite under throttle or brownout: invalidate
                     // so the stale version can never be read.
-                    sh.records[frame] = Some(TacRec {
+                    table.records[frame] = Some(TacRec {
                         valid: false,
                         ..rec
                     });
-                    sh.invalid += 1;
+                    table.invalid += 1;
                     self.audit(pid, AuditOp::LogicalInvalidate);
                     SsdMetrics::bump(&self.metrics.invalidations);
                 }
@@ -887,7 +821,7 @@ impl PageIo for TacCache {
     }
 
     fn has_copy(&self, pid: PageId) -> bool {
-        self.lock_shard(self.shard_for(pid)).map.contains_key(&pid)
+        self.table.lock().map.contains_key(&pid)
     }
 
     fn checkpoint_flush(&self, _clk: &mut Clk) {
@@ -898,21 +832,15 @@ impl PageIo for TacCache {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use turbopool_bufpool::ShardCount;
     use turbopool_iosim::DeviceSetup;
 
     const PS: usize = 32;
 
     fn mk(frames: u64) -> (Arc<IoManager>, TacCache) {
-        mk_sharded(frames, ShardCount::Fixed(1))
-    }
-
-    fn mk_sharded(frames: u64, shards: ShardCount) -> (Arc<IoManager>, TacCache) {
         let io = Arc::new(IoManager::new(&DeviceSetup::paper(PS, 4096, frames)));
         let mut cfg = SsdConfig::new(crate::SsdDesign::Tac, frames);
         cfg.tac_extent_pages = 4;
         cfg.tau = 1.0; // fill every frame before qualified admission starts
-        cfg.tac_shards = shards;
         (Arc::clone(&io), TacCache::new(cfg, io))
     }
 
@@ -1025,58 +953,6 @@ mod tests {
         assert_eq!(pages.len(), 6);
         assert_eq!(io.ssd_stats().read_ops, 2, "leading pages trimmed to SSD");
         assert_eq!(io.disk_stats().read_pages, 4);
-    }
-
-    #[test]
-    fn sharded_tac_round_trips_across_extents() {
-        let (io, t) = mk_sharded(16, ShardCount::Fixed(4));
-        assert_eq!(t.shard_count(), 4);
-        for p in 0..16u64 {
-            io.write_disk_async(0, PageId(p), &[p as u8 + 1; PS], Locality::Random)
-                .unwrap();
-        }
-        let mut clk = Clk::new();
-        // Extents are 4 pages wide; 16 pages span 4 extents spread over
-        // the shards.
-        for p in 0..16u64 {
-            assert_eq!(read(&t, &mut clk, p), p as u8 + 1);
-        }
-        clk.elapse(turbopool_iosim::SECOND);
-        let before_hits = t.metrics.snapshot().ssd_hits;
-        for p in 0..16u64 {
-            assert_eq!(read(&t, &mut clk, p), p as u8 + 1, "page {p}");
-        }
-        assert!(
-            t.metrics.snapshot().ssd_hits > before_hits,
-            "re-reads served from the sharded SSD table"
-        );
-        let s = t.metrics.snapshot();
-        assert!(s.shard_acquisitions > 0);
-        assert_eq!(s.shard_contended, 0, "single-threaded: never contended");
-        // Invalidation bookkeeping stays consistent across shards.
-        t.note_dirtied(clk.now, PageId(5));
-        assert_eq!(t.invalid_frames(), 1);
-        t.evict_page(clk.now, PageId(5), &[0xAA; PS], true, Locality::Random);
-        assert_eq!(t.invalid_frames(), 0);
-    }
-
-    #[test]
-    fn sharded_quarantine_sweeps_every_stripe() {
-        let (io, t) = mk_sharded(16, ShardCount::Fixed(4));
-        let mut clk = Clk::new();
-        for p in 0..8u64 {
-            read(&t, &mut clk, p);
-        }
-        assert_eq!(t.occupancy(), 8);
-        clk.elapse(turbopool_iosim::SECOND);
-        let plan = Arc::new(FaultPlan::new(FaultConfig::quiet(99)));
-        io.set_ssd_fault(Some(Arc::clone(&plan)));
-        plan.kill(clk.now);
-        let _ = read(&t, &mut clk, 0);
-        assert!(t.is_quarantined());
-        assert_eq!(t.occupancy(), 0, "all stripes swept");
-        assert_eq!(t.invalid_frames(), 0);
-        assert_eq!(t.metrics.snapshot().lost_frames, 8);
     }
 
     // ------------------------------------------------------------------

@@ -70,14 +70,7 @@ impl Database {
                 None,
             ),
             Some(scfg) if scfg.design == SsdDesign::Tac => {
-                // Resolve the engine-level shard knob into a fixed count
-                // here so the cache never consults host parallelism.
-                let mut scfg = scfg.clone();
-                scfg.tac_shards = turbopool_bufpool::ShardCount::Fixed(
-                    cfg.tac_shards
-                        .resolve(cfg.shard_hint, scfg.frames.max(1) as usize),
-                );
-                let t = Arc::new(TacCache::new(scfg, Arc::clone(&io)));
+                let t = Arc::new(TacCache::new(scfg.clone(), Arc::clone(&io)));
                 (Arc::clone(&t) as Arc<dyn PageIo>, None, Some(t))
             }
             Some(scfg) => {
@@ -89,8 +82,6 @@ impl Database {
         pcfg.fill_expansion = cfg.fill_expansion;
         pcfg.classifier = cfg.classifier;
         pcfg.replacement = cfg.replacement;
-        pcfg.shards = cfg.pool_shards;
-        pcfg.shard_hint = cfg.shard_hint;
         let pool = BufferPool::new(pcfg, Arc::clone(&layer));
         let log = log.unwrap_or_else(|| LogManager::new(Arc::clone(&io)));
         let bufs = turbopool_iosim::PageBufPool::new(cfg.page_size, 8);

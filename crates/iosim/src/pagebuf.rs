@@ -9,8 +9,7 @@
 //! recycles them instead.
 //!
 //! The pool lives in `iosim` (the workspace's base crate) so that both
-//! `bufpool` and `core` can share the implementation; `turbopool_core`
-//! re-exports it under its historical path.
+//! `bufpool` and `core` can share the implementation.
 //!
 //! The spare list is its own innermost lock class (`spare` in
 //! `lock_order.toml`): `take`/`put` acquire it only inside this module

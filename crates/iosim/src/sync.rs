@@ -33,19 +33,6 @@ impl<T> Mutex<T> {
         }
     }
 
-    /// Try to acquire the lock without blocking, recovering from
-    /// poisoning. Returns `None` only when another thread holds the
-    /// lock right now — the sharded buffer pool uses this to count
-    /// contended acquisitions before falling back to a blocking
-    /// `lock()`.
-    pub fn try_lock(&self) -> Option<MutexGuard<'_, T>> {
-        match self.0.try_lock() {
-            Ok(g) => Some(g),
-            Err(std::sync::TryLockError::Poisoned(poisoned)) => Some(poisoned.into_inner()),
-            Err(std::sync::TryLockError::WouldBlock) => None,
-        }
-    }
-
     /// Consume the mutex, returning the inner value.
     pub fn into_inner(self) -> T {
         match self.0.into_inner() {

@@ -10,7 +10,7 @@
 
 use std::sync::Arc;
 
-use turbopool_bufpool::{AdmissionKind, ReplacementKind, ShardCount};
+use turbopool_bufpool::{AdmissionKind, ReplacementKind};
 use turbopool_core::{MultiPageMode, SsdConfig, SsdDesign};
 use turbopool_engine::{Database, DbConfig};
 use turbopool_iosim::DeviceSetup;
@@ -105,11 +105,6 @@ pub struct SystemSpec {
     pub replacement: ReplacementKind,
     /// SSD admission policy (the paper's per-design rule by default).
     pub admission: AdmissionKind,
-    /// Lock stripes for the DRAM pool page table (`Fixed(1)` = legacy
-    /// single latch; `Auto` resolves against the engine's shard hint of 1).
-    pub pool_shards: ShardCount,
-    /// Lock stripes for the TAC buffer table (extent-routed).
-    pub tac_shards: ShardCount,
     /// Deterministic seed for the workload RNG streams.
     pub seed: u64,
 }
@@ -130,8 +125,6 @@ impl SystemSpec {
             warm_restart: false,
             replacement: ReplacementKind::Lru2,
             admission: AdmissionKind::DesignDefault,
-            pool_shards: ShardCount::Auto,
-            tac_shards: ShardCount::Auto,
             seed: 0x5EED,
         }
     }
@@ -141,8 +134,6 @@ impl SystemSpec {
 pub fn build_db(spec: &SystemSpec) -> Arc<Database> {
     let mut cfg = DbConfig::new(PAGE_SIZE, spec.db_pages, spec.mem_frames);
     cfg.replacement = spec.replacement;
-    cfg.pool_shards = spec.pool_shards;
-    cfg.tac_shards = spec.tac_shards;
     cfg.ssd = spec.design.ssd_design().map(|d| {
         let mut s = SsdConfig::new(d, spec.ssd_frames);
         s.lambda = spec.lambda;

@@ -10,7 +10,6 @@
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-use turbopool::bufpool::ShardCount;
 use turbopool::core::{SsdConfig, SsdDesign};
 use turbopool::engine::{Database, DbConfig, HeapId};
 use turbopool::iosim::fault::checksum;
@@ -157,10 +156,6 @@ impl Client for MixClient {
 }
 
 fn heap_mix_fingerprint(design: Option<SsdDesign>) -> u64 {
-    heap_mix_fingerprint_sharded(design, None)
-}
-
-fn heap_mix_fingerprint_sharded(design: Option<SsdDesign>, shards: Option<usize>) -> u64 {
     let mut cfg = DbConfig::small_for_tests();
     cfg.db_pages = 1024;
     cfg.mem_frames = 8;
@@ -169,10 +164,6 @@ fn heap_mix_fingerprint_sharded(design: Option<SsdDesign>, shards: Option<usize>
         let mut s = SsdConfig::new(d, 64);
         s.partitions = 2;
         cfg.ssd = Some(s);
-    }
-    if let Some(n) = shards {
-        cfg.pool_shards = ShardCount::Fixed(n);
-        cfg.tac_shards = ShardCount::Fixed(n);
     }
     let db = Arc::new(Database::open(cfg));
     let mut clk = Clk::new();
@@ -232,27 +223,6 @@ fn default_policies_reproduce_pre_refactor_heap_mix() {
         assert_eq!(
             got, want,
             "default-policy heap-mix fingerprint drifted for {design:?} (got {got:#018x})"
-        );
-    }
-}
-
-/// ISSUE 9's sharding gate: an explicit single shard (`Fixed(1)`) on
-/// both the pool page table and the TAC buffer table must reproduce the
-/// pre-refactor fingerprints above bit-for-bit — the legacy single
-/// latch is the `shards = 1` special case of the striped structure, not
-/// a preserved separate code path.
-#[test]
-fn single_shard_reproduces_pre_refactor_fingerprints() {
-    let expected: [(Option<SsdDesign>, u64); 3] = [
-        (None, 0xc9bf_b5c8_c574_1bc5),
-        (Some(SsdDesign::LazyCleaning), 0xf262_0138_3c5e_08c5),
-        (Some(SsdDesign::Tac), 0x4443_8b83_73bf_0246),
-    ];
-    for (design, want) in expected {
-        let got = heap_mix_fingerprint_sharded(design, Some(1));
-        assert_eq!(
-            got, want,
-            "Fixed(1) sharding drifted from the legacy latch for {design:?} (got {got:#018x})"
         );
     }
 }
