@@ -10,9 +10,10 @@
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
+use turbopool::core::metrics::SsdMetricsSnapshot;
 use turbopool::core::{SsdConfig, SsdDesign};
 use turbopool::engine::{Database, DbConfig, HeapId};
-use turbopool::iosim::fault::checksum;
+use turbopool::iosim::fault::{checksum, FaultConfig, FaultPlan};
 use turbopool::iosim::rng::{Rng, SeedableRng, SmallRng};
 use turbopool::iosim::store::PageStore;
 use turbopool::iosim::{Clk, PageId, MICROSECOND, MINUTE, SECOND};
@@ -155,7 +156,38 @@ impl Client for MixClient {
     }
 }
 
-fn heap_mix_fingerprint(design: Option<SsdDesign>) -> u64 {
+/// An SSD fault injected for the whole heap-mix run.
+#[derive(Clone, Copy, Debug)]
+enum SsdFault {
+    /// Continuous brownout over the first 10 s: the fail-slow detector
+    /// trips, so hedging and canary probes run.
+    Brownout,
+    /// 5% transient read/write errors: retries, no quarantine.
+    Transient,
+    /// Device death at 0.5 s: quarantine (and, under LC, WAL salvage).
+    Kill,
+}
+
+impl SsdFault {
+    fn plan(self) -> FaultPlan {
+        match self {
+            SsdFault::Brownout => FaultPlan::new(FaultConfig::brownout(7, 0, 10 * SECOND)),
+            SsdFault::Transient => FaultPlan::new(FaultConfig::transient(7, 0.05)),
+            SsdFault::Kill => {
+                let plan = FaultPlan::new(FaultConfig::transient(7, 0.0));
+                plan.kill(SECOND / 2);
+                plan
+            }
+        }
+    }
+}
+
+/// Run the heap mix; returns its fingerprint and the SSD counters (`None`
+/// for noSSD).
+fn heap_mix_fingerprint(
+    design: Option<SsdDesign>,
+    fault: Option<SsdFault>,
+) -> (u64, Option<SsdMetricsSnapshot>) {
     let mut cfg = DbConfig::small_for_tests();
     cfg.db_pages = 1024;
     cfg.mem_frames = 8;
@@ -166,6 +198,9 @@ fn heap_mix_fingerprint(design: Option<SsdDesign>) -> u64 {
         cfg.ssd = Some(s);
     }
     let db = Arc::new(Database::open(cfg));
+    if let Some(f) = fault {
+        db.io().set_ssd_fault(Some(Arc::new(f.plan())));
+    }
     let mut clk = Clk::new();
     let heap = db.create_heap(&mut clk, "data", 32, 256);
     let mut driver = Driver::new();
@@ -191,7 +226,7 @@ fn heap_mix_fingerprint(design: Option<SsdDesign>) -> u64 {
     assert!(done_at.load(Ordering::Relaxed) > 0, "client did not finish");
     let mut clk = Clk::at(60 * SECOND);
     db.checkpoint(&mut clk);
-    db_fingerprint(&db, driver.steps())
+    (db_fingerprint(&db, driver.steps()), db.ssd_metrics())
 }
 
 fn tpcc_fingerprint(design: Design) -> u64 {
@@ -219,7 +254,7 @@ fn default_policies_reproduce_pre_refactor_heap_mix() {
         (Some(SsdDesign::Tac), 0x4443_8b83_73bf_0246),
     ];
     for (design, want) in expected {
-        let got = heap_mix_fingerprint(design);
+        let (got, _) = heap_mix_fingerprint(design, None);
         assert_eq!(
             got, want,
             "default-policy heap-mix fingerprint drifted for {design:?} (got {got:#018x})"
@@ -239,6 +274,54 @@ fn default_policies_reproduce_pre_refactor_tpcc() {
         assert_eq!(
             got, want,
             "default-policy TPC-C fingerprint drifted for {design:?} (got {got:#018x})"
+        );
+    }
+}
+
+/// The degraded-mode paths (hedging with canary probes, retried SSD I/O,
+/// quarantine, stranding and WAL salvage) replay bit-for-bit under the
+/// default policies. Each case also asserts that its fault path really ran.
+#[test]
+fn fault_paths_reproduce_heap_mix() {
+    use SsdDesign::{CleanWrite, DualWrite, LazyCleaning, Tac};
+    use SsdFault::{Brownout, Kill, Transient};
+    let expected: [(SsdDesign, SsdFault, u64); 12] = [
+        (CleanWrite, Brownout, 0x9c37_6d35_73a1_8ab1),
+        (DualWrite, Brownout, 0xd681_f301_cf8b_da54),
+        (LazyCleaning, Brownout, 0x8ba2_471a_f649_e17d),
+        (Tac, Brownout, 0xe26f_5f40_953e_fbc8),
+        (CleanWrite, Transient, 0x74ae_2d00_e65b_9e9c),
+        (DualWrite, Transient, 0x4079_c3e5_65ce_a3a6),
+        (LazyCleaning, Transient, 0x5c4a_ce1c_6049_b573),
+        (Tac, Transient, 0x5745_41fc_0126_a6a2),
+        (CleanWrite, Kill, 0xa43e_6853_7afd_4ccb),
+        (DualWrite, Kill, 0x5337_ada1_f024_7755),
+        (LazyCleaning, Kill, 0xde89_5335_32d7_7882),
+        (Tac, Kill, 0xe285_5a99_6348_db28),
+    ];
+    for (design, fault, want) in expected {
+        let (got, m) = heap_mix_fingerprint(Some(design), Some(fault));
+        let m = m.expect("SSD designs report SSD metrics");
+        match fault {
+            Brownout => assert!(
+                m.hedged_reads + m.hedged_admissions > 0,
+                "{design:?}: the brownout never hedged"
+            ),
+            Transient => {
+                assert!(m.ssd_retries > 0, "{design:?}: no SSD retries");
+                assert_eq!(m.ssd_quarantined, 0, "{design:?}: quarantined");
+            }
+            Kill => {
+                assert_eq!(m.ssd_quarantined, 1, "{design:?}: not quarantined");
+                if design == LazyCleaning {
+                    assert!(m.stranded_dirty > 0, "LC stranded nothing");
+                    assert_eq!(m.stranded_dirty, m.salvaged_pages);
+                }
+            }
+        }
+        assert_eq!(
+            got, want,
+            "fault-path heap-mix fingerprint drifted for {design:?} under {fault:?} (got {got:#018x})"
         );
     }
 }
