@@ -70,17 +70,11 @@ pub trait PageIo: Send + Sync {
 /// Direct-to-disk storage layer: the paper's `noSSD` baseline.
 pub struct DirectIo {
     io: Arc<IoManager>,
-    retry: fault::RetryPolicy,
 }
 
 impl DirectIo {
     pub fn new(io: Arc<IoManager>) -> Self {
-        Self::with_retry(io, fault::RetryPolicy::default())
-    }
-
-    /// Baseline with an explicit read-retry policy (`DbConfig::retry`).
-    pub fn with_retry(io: Arc<IoManager>, retry: fault::RetryPolicy) -> Self {
-        DirectIo { io, retry }
+        DirectIo { io }
     }
 }
 
@@ -92,13 +86,12 @@ impl PageIo for DirectIo {
         class: Locality,
         buf: &mut [u8],
     ) -> Result<(), IoError> {
-        let (_attempts, out) =
-            fault::retry_sync_with(&self.retry, clk, |c| self.io.read_disk(c, pid, buf, class));
+        let (_attempts, out) = fault::retry_sync(clk, |c| self.io.read_disk(c, pid, buf, class));
         out
     }
 
     fn read_run(&self, clk: &mut Clk, first: PageId, n: u64) -> Result<Vec<PageBuf>, IoError> {
-        let (_attempts, out) = fault::retry_sync_with(&self.retry, clk, |c| {
+        let (_attempts, out) = fault::retry_sync(clk, |c| {
             self.io.read_disk_run(c, first, n, Locality::Sequential)
         });
         out

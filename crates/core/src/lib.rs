@@ -36,6 +36,7 @@ pub mod manager;
 pub mod metrics;
 pub mod partition;
 pub mod tac;
+mod tier;
 
 pub use audit::{AuditOp, FrameState, InvariantAuditor};
 pub use cleaner::LazyCleaner;

@@ -8,7 +8,7 @@
 //! over the clean heap; dirty pages (LC only) are protected from
 //! replacement until the lazy cleaner or a checkpoint flushes them.
 
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use turbopool_bufpool::{AdmissionPolicy, AdmitVerdict, PageIo};
@@ -17,10 +17,11 @@ use turbopool_iosim::{
     fault, Clk, IoError, IoErrorKind, IoManager, Locality, PageBuf, PageBufPool, PageId, Time,
 };
 
-use crate::audit::{AuditOp, InvariantAuditor};
+use crate::audit::AuditOp;
 use crate::config::{MultiPageMode, SsdConfig, SsdDesign};
 use crate::metrics::SsdMetrics;
 use crate::partition::Partition;
+use crate::tier::SsdTier;
 
 /// What [`SsdManager::plan_reclaim`] decided under the partition latch.
 enum Reclaimed {
@@ -60,7 +61,8 @@ pub struct ImportReport {
 /// lazy-cleaning. (TAC lives in [`crate::tac::TacCache`].)
 pub struct SsdManager {
     cfg: SsdConfig,
-    io: Arc<IoManager>,
+    /// Quarantine, throttle, hedging, retried I/O, metrics and auditor.
+    tier: SsdTier,
     parts: Vec<Mutex<Partition>>,
     /// LRU-2 access stamp source.
     stamp: AtomicU64,
@@ -71,16 +73,6 @@ pub struct SsdManager {
     /// While `now` is before this instant, dirty evictions are not cached
     /// (LC pauses dirty admission during a sharp checkpoint, §3.2).
     pause_dirty_until: AtomicU64,
-    /// True once the SSD has been quarantined (device death or error
-    /// budget exhausted); every path then degrades to direct-to-disk.
-    quarantined: AtomicBool,
-    /// SSD I/O errors observed, charged against `cfg.ssd_error_budget`.
-    ssd_errors: AtomicU64,
-    /// Degraded-mode decision counter driving canary probes: every
-    /// `cfg.hedge_probe_interval`-th hedge-eligible decision still goes
-    /// to the SSD so the fail-slow detector keeps receiving samples and
-    /// can observe recovery.
-    probe_tick: AtomicU64,
     /// Dirty pages whose sole (SSD) copy was lost to corruption or
     /// quarantine, awaiting WAL-tail salvage by the engine.
     stranded: Mutex<Vec<PageId>>,
@@ -88,10 +80,6 @@ pub struct SsdManager {
     /// (`AdmissionKind::DesignDefault`) is the paper's random-class rule;
     /// orthogonal gates (quarantine, throttle, hedging) run before it.
     admission: Box<dyn AdmissionPolicy>,
-    /// Counters for the evaluation harnesses.
-    pub metrics: SsdMetrics,
-    /// Shadow state machine validating every buffer-table transition.
-    auditor: InvariantAuditor,
     /// Recycled page-sized staging buffers for the gather/flush path
     /// (`clean_batch`) — avoids a fresh allocation per gathered page.
     buf_pool: PageBufPool,
@@ -106,7 +94,6 @@ impl SsdManager {
             SsdDesign::Tac,
             "use TacCache for the TAC design"
         );
-        assert!(cfg.frames <= io.ssd_frames(), "SSD file too small");
         assert!(cfg.partitions >= 1);
         let n = cfg.partitions as u64;
         let per = cfg.frames / n;
@@ -118,25 +105,19 @@ impl SsdManager {
             parts.push(Mutex::new(Partition::new(base, frames as usize)));
             base += frames;
         }
-        let auditor = InvariantAuditor::new(cfg.design);
         // Retain at most one batch's worth of staging buffers (α pages).
         let buf_pool = PageBufPool::new(io.page_size(), cfg.alpha as usize);
         let admission = cfg.admission.build(cfg.frames as usize);
         SsdManager {
             admission,
+            tier: SsdTier::new(&cfg, io),
             cfg,
-            io,
             parts,
             stamp: AtomicU64::new(0),
             occupancy: AtomicU64::new(0),
             dirty_total: AtomicU64::new(0),
             pause_dirty_until: AtomicU64::new(0),
-            quarantined: AtomicBool::new(false),
-            ssd_errors: AtomicU64::new(0),
-            probe_tick: AtomicU64::new(0),
             stranded: Mutex::new(Vec::new()),
-            metrics: SsdMetrics::default(),
-            auditor,
             buf_pool,
         }
     }
@@ -144,7 +125,12 @@ impl SsdManager {
     /// True once the SSD is quarantined and the manager runs degraded
     /// (every subsequent request takes the direct-to-disk path).
     pub fn is_quarantined(&self) -> bool {
-        self.quarantined.load(Ordering::Relaxed)
+        self.tier.is_quarantined()
+    }
+
+    /// Counters for the evaluation harnesses.
+    pub fn metrics(&self) -> &SsdMetrics {
+        &self.tier.metrics
     }
 
     /// Drain the list of dirty pages whose sole (SSD) copy was lost. The
@@ -167,28 +153,18 @@ impl SsdManager {
         IoError::new(fault::FaultDevice::Ssd, IoErrorKind::DeviceDead, at)
     }
 
-    /// Record one SSD I/O error; quarantine on device death or once the
-    /// error budget is exhausted. Must not be called while a partition
-    /// latch is held (quarantine sweeps every partition).
-    fn note_ssd_error(&self, e: &IoError) {
-        SsdMetrics::bump(&self.metrics.ssd_io_errors);
-        if e.kind == IoErrorKind::ChecksumMismatch {
-            SsdMetrics::bump(&self.metrics.checksum_misses);
-        }
-        let seen = self.ssd_errors.fetch_add(1, Ordering::Relaxed) + 1;
-        if e.kind == IoErrorKind::DeviceDead || seen > self.cfg.ssd_error_budget {
-            self.quarantine();
+    /// Charge `e` to the SSD error budget; if that trips quarantine, sweep
+    /// the table. Must not be called while a partition latch is held.
+    fn on_ssd_error(&self, e: &IoError) {
+        if self.tier.note_error(e) {
+            self.drop_table();
         }
     }
 
-    /// Degrade to the noSSD path: drop the whole buffer table (each live
-    /// entry takes the terminal `Quarantine` transition), queue dirty
-    /// pages for WAL salvage, and refuse all future SSD traffic.
-    fn quarantine(&self) {
-        if self.quarantined.swap(true, Ordering::SeqCst) {
-            return;
-        }
-        SsdMetrics::bump(&self.metrics.ssd_quarantined);
+    /// Degrade to the noSSD path once quarantine has tripped: drop the
+    /// whole buffer table (each live entry takes the terminal `Quarantine`
+    /// transition) and queue dirty pages for WAL salvage.
+    fn drop_table(&self) {
         for i in 0..self.parts.len() {
             let mut part = self.parts[i].lock();
             let idxs: Vec<usize> = part.iter().map(|(idx, _)| idx).collect();
@@ -198,12 +174,12 @@ impl SsdManager {
             }
             drop(part);
             for rec in recs {
-                self.audit(rec.pid, AuditOp::Quarantine);
+                self.tier.audit(rec.pid, AuditOp::Quarantine);
                 self.occupancy.fetch_sub(1, Ordering::Relaxed);
-                SsdMetrics::bump(&self.metrics.lost_frames);
+                SsdMetrics::bump(&self.tier.metrics.lost_frames);
                 if rec.dirty {
                     self.dirty_total.fetch_sub(1, Ordering::Relaxed);
-                    SsdMetrics::bump(&self.metrics.stranded_dirty);
+                    SsdMetrics::bump(&self.tier.metrics.stranded_dirty);
                     self.stranded.lock().push(rec.pid);
                 }
             }
@@ -220,86 +196,20 @@ impl SsdManager {
         };
         let rec = part.remove(idx);
         drop(part);
-        self.audit(pid, AuditOp::CorruptInvalidate);
+        self.tier.audit(pid, AuditOp::CorruptInvalidate);
         self.occupancy.fetch_sub(1, Ordering::Relaxed);
-        SsdMetrics::bump(&self.metrics.lost_frames);
+        SsdMetrics::bump(&self.tier.metrics.lost_frames);
         if rec.dirty {
             self.dirty_total.fetch_sub(1, Ordering::Relaxed);
-            SsdMetrics::bump(&self.metrics.stranded_dirty);
+            SsdMetrics::bump(&self.tier.metrics.stranded_dirty);
             self.stranded.lock().push(pid);
         }
     }
 
-    /// SSD frame read with transient-error retries on `clk`. The final
-    /// error (checksum mismatch, device death, or retries exhausted) is
-    /// returned for the caller to classify.
-    fn ssd_read(&self, clk: &mut Clk, frame: u64, buf: &mut [u8]) -> Result<(), IoError> {
-        let (retries, out) =
-            fault::retry_sync_with(&self.cfg.retry, clk, |c| self.io.read_ssd(c, frame, buf));
-        SsdMetrics::add(&self.metrics.ssd_retries, u64::from(retries));
-        out
-    }
-
-    /// Synchronous disk read with the standard capped-backoff retry policy;
-    /// retry attempts are accounted in the metrics.
-    fn disk_read(
-        &self,
-        clk: &mut Clk,
-        pid: PageId,
-        class: Locality,
-        buf: &mut [u8],
-    ) -> Result<(), IoError> {
-        let (retries, out) = fault::retry_sync_with(&self.cfg.retry, clk, |c| {
-            self.io.read_disk(c, pid, buf, class)
-        });
-        SsdMetrics::add(&self.metrics.disk_retries, u64::from(retries));
-        out
-    }
-
-    /// Multi-page disk read with the standard retry policy.
-    fn disk_read_run(
-        &self,
-        clk: &mut Clk,
-        first: PageId,
-        n: u64,
-        loc: Locality,
-    ) -> Result<Vec<PageBuf>, IoError> {
-        let (retries, out) = fault::retry_sync_with(&self.cfg.retry, clk, |c| {
-            self.io.read_disk_run(c, first, n, loc)
-        });
-        SsdMetrics::add(&self.metrics.disk_retries, u64::from(retries));
-        out
-    }
-
-    /// Asynchronous disk write that must not drop data: transient errors
-    /// retry without bound; only a dead disk — unrecoverable by any policy
-    /// — falls through, and then there is nowhere left to persist to. The
-    /// IoManager records the lost write so later readers surface the
-    /// device error instead of treating the page as never-written.
-    fn disk_write(&self, now: Time, pid: PageId, data: &[u8]) {
-        if let Err(e) = fault::retry_write_forever(|| {
-            self.io.write_disk_async(now, pid, data, Locality::Random)
-        }) {
-            debug_assert!(!e.is_transient());
-        }
-    }
-
-    /// Invariant violations caught so far (see [`InvariantAuditor`]).
+    /// Invariant violations caught so far (see
+    /// [`InvariantAuditor`](crate::audit::InvariantAuditor)).
     pub fn audit_violations(&self) -> u64 {
-        self.auditor.violations()
-    }
-
-    /// Report a buffer-table transition to the auditor. Violations are
-    /// counted in the metrics and abort debug builds immediately.
-    fn audit(&self, pid: PageId, op: AuditOp) {
-        if let Err(e) = self.auditor.observe(pid, op) {
-            SsdMetrics::bump(&self.metrics.audit_violations);
-            if cfg!(debug_assertions) {
-                // lint: allow(panic) — the auditor's whole point: fail the
-                // test run at the first illegal state-machine transition.
-                panic!("SSD buffer-table invariant violated: {e} (pid {pid})");
-            }
-        }
+        self.tier.audit_violations()
     }
 
     pub fn config(&self) -> &SsdConfig {
@@ -353,48 +263,10 @@ impl SsdManager {
         self.stamp.fetch_add(1, Ordering::Relaxed) + 1
     }
 
-    /// Is the SSD queue deeper than the throttle threshold μ?
-    fn throttled(&self, now: Time) -> bool {
-        self.io.ssd_overloaded(now, self.cfg.mu)
-    }
-
-    /// Gray-failure hedging: is the SSD flagged fail-slow (and hedging
-    /// enabled)? While true, reads with a valid disk copy and all new
-    /// admissions are diverted to disk; only sole-copy dirty frames still
-    /// touch the SSD.
-    fn ssd_degraded(&self) -> bool {
-        self.cfg.hedged_reads && self.io.ssd_slow()
-    }
-
-    /// Should this hedge-eligible decision divert away from the SSD?
-    /// Healthy SSD: never. Degraded SSD: yes, except that every
-    /// `cfg.hedge_probe_interval`-th decision is let through as a canary
-    /// probe — without probes a fully-hedged SSD would get no more
-    /// samples and the detector could never observe recovery. Once a
-    /// probe comes back fast the detector reports `clearing` and every
-    /// decision probes, so the clear streak completes (or is refuted) in
-    /// `clear_after` requests instead of `clear_after × interval`. The
-    /// tick advances in deterministic submission order, so replay is
-    /// exact.
-    fn hedge_or_probe(&self) -> bool {
-        if !self.ssd_degraded() {
-            return false;
-        }
-        if self.io.ssd_clearing() {
-            return false;
-        }
-        let n = self.cfg.hedge_probe_interval;
-        if n == 0 {
-            return true;
-        }
-        let t = self.probe_tick.fetch_add(1, Ordering::Relaxed);
-        t % n != n - 1
-    }
-
     /// Outstanding requests on the disk group (congestion signal for the
     /// lazy cleaner).
     pub fn disk_queue_depth(&self, now: Time) -> usize {
-        self.io.disk_queue_depth(now)
+        self.tier.io.disk_queue_depth(now)
     }
 
     /// Aggressive filling (§3.3.1): until the SSD is τ-full, everything is
@@ -408,7 +280,7 @@ impl SsdManager {
     fn install(&self, now: Time, pid: PageId, data: &[u8], dirty: bool) {
         if self.is_quarantined() {
             if dirty {
-                self.disk_write(now, pid, data);
+                self.tier.disk_write(now, pid, data);
             }
             return;
         }
@@ -443,7 +315,7 @@ impl SsdManager {
                     drop(part);
                     self.settle_reclaim(pending, reclaim_stranded);
                     if dirty {
-                        self.disk_write(now, pid, data);
+                        self.tier.disk_write(now, pid, data);
                     }
                     return;
                 }
@@ -458,16 +330,16 @@ impl SsdManager {
         // a table entry pointing at never-written frame bytes. (Torn and
         // bit-flipped writes still return Ok — that is silent corruption,
         // caught by the frame checksum on a later read.)
-        match self.io.write_ssd_async(now, frame, data, pid) {
+        match self.tier.io.write_ssd_async(now, frame, data, pid) {
             Ok(_done) => {
-                self.audit(pid, AuditOp::Admit { dirty });
+                self.tier.audit(pid, AuditOp::Admit { dirty });
                 self.occupancy.fetch_add(1, Ordering::Relaxed);
                 if dirty {
                     self.dirty_total.fetch_add(1, Ordering::Relaxed);
                 }
-                SsdMetrics::bump(&self.metrics.admissions);
+                SsdMetrics::bump(&self.tier.metrics.admissions);
                 if self.filling() {
-                    SsdMetrics::bump(&self.metrics.fill_admissions);
+                    SsdMetrics::bump(&self.tier.metrics.fill_admissions);
                 }
             }
             Err(e) => {
@@ -479,9 +351,9 @@ impl SsdManager {
                     part.remove(idx);
                 }
                 drop(part);
-                self.note_ssd_error(&e);
+                self.on_ssd_error(&e);
                 if dirty {
-                    self.disk_write(now, pid, data);
+                    self.tier.disk_write(now, pid, data);
                 }
             }
         }
@@ -496,11 +368,11 @@ impl SsdManager {
     fn settle_reclaim(&self, pending: Option<IoError>, stranded: Option<PageId>) {
         if let Some(pid) = stranded {
             self.stranded.lock().push(pid);
-            SsdMetrics::bump(&self.metrics.stranded_dirty);
-            SsdMetrics::bump(&self.metrics.lost_frames);
+            SsdMetrics::bump(&self.tier.metrics.stranded_dirty);
+            SsdMetrics::bump(&self.tier.metrics.lost_frames);
         }
         if let Some(e) = pending {
-            self.note_ssd_error(&e);
+            self.on_ssd_error(&e);
         }
     }
 
@@ -513,9 +385,9 @@ impl SsdManager {
     fn plan_reclaim(&self, part: &mut Partition) -> Reclaimed {
         if let Some((_, victim)) = part.peek_clean_victim() {
             let rec = part.remove(victim);
-            self.audit(rec.pid, AuditOp::Replace);
+            self.tier.audit(rec.pid, AuditOp::Replace);
             self.occupancy.fetch_sub(1, Ordering::Relaxed);
-            SsdMetrics::bump(&self.metrics.replacements);
+            SsdMetrics::bump(&self.tier.metrics.replacements);
             // Ghost-qualifying policies give replaced pages a fast path
             // back in (no-op for the default). Lock order: `parts` is
             // held; the policy's internal `ghost` lock is a leaf.
@@ -527,7 +399,7 @@ impl SsdManager {
             let rec = part.detach(oldest);
             self.occupancy.fetch_sub(1, Ordering::Relaxed);
             self.dirty_total.fetch_sub(1, Ordering::Relaxed);
-            SsdMetrics::bump(&self.metrics.replacements);
+            SsdMetrics::bump(&self.tier.metrics.replacements);
             self.admission.note_evicted(rec.pid);
             return Reclaimed::DirtyDeferred {
                 idx: oldest,
@@ -552,17 +424,17 @@ impl SsdManager {
     ) {
         let mut buf = self.buf_pool.lease();
         let mut tmp = Clk::at(now);
-        match self.ssd_read(&mut tmp, frame, &mut buf) {
+        match self.tier.ssd_read(&mut tmp, frame, &mut buf) {
             Ok(()) => {
-                self.disk_write(tmp.now, victim, &buf);
-                self.audit(victim, AuditOp::InlineClean);
-                SsdMetrics::bump(&self.metrics.inline_cleans);
+                self.tier.disk_write(tmp.now, victim, &buf);
+                self.tier.audit(victim, AuditOp::InlineClean);
+                SsdMetrics::bump(&self.tier.metrics.inline_cleans);
             }
             Err(e) => {
                 // The dirty victim's sole copy is unreadable: the frame is
                 // still freed, but the page is stranded for WAL salvage
                 // instead of cleaned to disk.
-                self.audit(victim, AuditOp::CorruptInvalidate);
+                self.tier.audit(victim, AuditOp::CorruptInvalidate);
                 *pending = Some(e);
                 *stranded_out = Some(victim);
             }
@@ -591,42 +463,10 @@ impl SsdManager {
     /// `valid(pid, frame)` is the caller's staleness filter: it must
     /// return true only when the frame's in-page header still names `pid`
     /// (the frame was not reused before the crash) and `pid`'s disk image
-    /// did not advance during redo. Returns the number of imported pages.
-    pub fn import_table(
-        &self,
-        entries: &[(PageId, u64)],
-        valid: impl Fn(PageId, u64) -> bool,
-    ) -> usize {
-        let mut imported = 0usize;
-        for &(pid, frame) in entries {
-            if !valid(pid, frame) {
-                continue;
-            }
-            // The frame must belong to the partition that pid routes to
-            // (it does unless the partition count changed across restart).
-            let part_idx = self.part_index(pid);
-            let mut part = self.parts[part_idx].lock();
-            let base = part.frame_no(0);
-            let cap = part.capacity() as u64;
-            if frame < base || frame >= base + cap {
-                continue;
-            }
-            let stamp = self.next_stamp();
-            if part.insert_at((frame - base) as usize, pid, stamp) {
-                drop(part);
-                self.audit(pid, AuditOp::WarmImport);
-                imported += 1;
-                self.occupancy.fetch_add(1, Ordering::Relaxed);
-                SsdMetrics::bump(&self.metrics.warm_imports);
-            }
-        }
-        imported
-    }
-
-    /// Hardened re-adoption: like [`SsdManager::import_table`], but every
-    /// candidate frame is *probed* — read back through the fault model with
-    /// the standard retry policy and checksum verification — before the
-    /// table entry is trusted.
+    /// did not advance during redo. Every remaining candidate frame is
+    /// then *probed* — read back through the fault model with the
+    /// standard retry policy and checksum verification — before the table
+    /// entry is trusted.
     ///
     /// Damage found during the probe degrades gracefully instead of being
     /// re-adopted: a checksum mismatch rejects that one frame (torn write
@@ -652,26 +492,28 @@ impl SsdManager {
             }
             if !valid(pid, frame) {
                 rep.rejected_stale += 1;
-                SsdMetrics::bump(&self.metrics.warm_rejected_stale);
+                SsdMetrics::bump(&self.tier.metrics.warm_rejected_stale);
                 continue;
             }
-            match self.ssd_read(clk, frame, &mut buf) {
+            match self.tier.ssd_read(clk, frame, &mut buf) {
                 Ok(()) => {}
                 Err(e) if e.kind == IoErrorKind::ChecksumMismatch => {
                     // The frame's bytes are damaged (torn write or bit flip
                     // that straddled the crash). Reject just this entry;
                     // the page's disk image is still current.
-                    self.note_ssd_error(&e);
+                    self.on_ssd_error(&e);
                     rep.rejected_checksum += 1;
-                    SsdMetrics::bump(&self.metrics.warm_rejected_checksum);
+                    SsdMetrics::bump(&self.tier.metrics.warm_rejected_checksum);
                     continue;
                 }
                 Err(e) => {
                     // Dead or persistently erroring device: quarantine and
                     // abort the import. Nothing was re-adopted from the
                     // unprobed remainder, so the restart is simply cold.
-                    self.note_ssd_error(&e);
-                    self.quarantine();
+                    self.on_ssd_error(&e);
+                    if self.tier.quarantine() {
+                        self.drop_table();
+                    }
                     rep.aborted_dead = true;
                     break;
                 }
@@ -683,16 +525,16 @@ impl SsdManager {
             if frame < base || frame >= base + cap {
                 drop(part);
                 rep.rejected_stale += 1;
-                SsdMetrics::bump(&self.metrics.warm_rejected_stale);
+                SsdMetrics::bump(&self.tier.metrics.warm_rejected_stale);
                 continue;
             }
             let stamp = self.next_stamp();
             if part.insert_at((frame - base) as usize, pid, stamp) {
                 drop(part);
-                self.audit(pid, AuditOp::WarmImport);
+                self.tier.audit(pid, AuditOp::WarmImport);
                 rep.imported += 1;
                 self.occupancy.fetch_add(1, Ordering::Relaxed);
-                SsdMetrics::bump(&self.metrics.warm_imports);
+                SsdMetrics::bump(&self.tier.metrics.warm_imports);
             }
         }
         rep
@@ -727,7 +569,7 @@ impl SsdManager {
         // Gather a maximal consecutive-pid run of dirty pages around the
         // anchor, capped at α.
         let is_dirty_cached = |pid: PageId| -> bool {
-            if pid.0 >= self.io.db_pages() {
+            if pid.0 >= self.tier.io.db_pages() {
                 return false;
             }
             let part = self.part(pid);
@@ -739,7 +581,7 @@ impl SsdManager {
         let mut hi = anchor_pid; // inclusive
         let mut count = 1u64;
         while count < self.cfg.alpha
-            && hi.0 + 1 < self.io.db_pages()
+            && hi.0 + 1 < self.tier.io.db_pages()
             && is_dirty_cached(hi.offset(1))
         {
             hi = hi.offset(1);
@@ -768,14 +610,14 @@ impl SsdManager {
                 part.frame_no(idx)
             };
             let mut buf = self.buf_pool.take();
-            match self.ssd_read(clk, frame, &mut buf) {
+            match self.tier.ssd_read(clk, frame, &mut buf) {
                 Ok(()) => {
                     pids.push(pid);
                     bufs.push(buf);
                 }
                 Err(e) => {
                     self.buf_pool.put(buf);
-                    self.note_ssd_error(&e);
+                    self.on_ssd_error(&e);
                     self.drop_corrupt(pid);
                 }
             }
@@ -784,8 +626,8 @@ impl SsdManager {
         for buf in bufs {
             self.buf_pool.put(buf);
         }
-        SsdMetrics::add(&self.metrics.cleaned_pages, cleaned as u64);
-        SsdMetrics::add(&self.metrics.cleaner_writes, writes as u64);
+        SsdMetrics::add(&self.tier.metrics.cleaned_pages, cleaned as u64);
+        SsdMetrics::add(&self.tier.metrics.cleaner_writes, writes as u64);
         cleaned
     }
 
@@ -804,7 +646,7 @@ impl SsdManager {
             }
             let slices: Vec<&[u8]> = bufs[i..j].iter().map(|b| b.as_slice()).collect();
             match fault::retry_write_forever(|| {
-                self.io.write_disk_run_async(clk.now, pids[i], &slices)
+                self.tier.io.write_disk_run_async(clk.now, pids[i], &slices)
             }) {
                 Ok(done) => {
                     clk.wait_until(done);
@@ -820,7 +662,7 @@ impl SsdManager {
                         }
                         drop(part);
                         if was_dirty {
-                            self.audit(*pid, AuditOp::Clean);
+                            self.tier.audit(*pid, AuditOp::Clean);
                             self.dirty_total.fetch_sub(1, Ordering::Relaxed);
                             cleaned += 1;
                         }
@@ -856,24 +698,24 @@ impl SsdManager {
         buf: &mut [u8],
     ) -> Result<Time, IoError> {
         let mut tmp = Clk::at(start);
-        match self.ssd_read(&mut tmp, frame, buf) {
+        match self.tier.ssd_read(&mut tmp, frame, buf) {
             Ok(()) => {
                 let mut part = self.part(pid);
                 if let Some(idx) = part.lookup(pid) {
                     let stamp = self.next_stamp();
                     part.touch(idx, stamp);
                 }
-                SsdMetrics::bump(&self.metrics.ssd_hits);
+                SsdMetrics::bump(&self.tier.metrics.ssd_hits);
                 Ok(tmp.now)
             }
             Err(e) => {
-                self.note_ssd_error(&e);
+                self.on_ssd_error(&e);
                 self.drop_corrupt(pid);
                 if dirty {
                     return Err(e);
                 }
                 let mut tmp = Clk::at(start);
-                self.disk_read(&mut tmp, pid, Locality::Random, buf)?;
+                self.tier.disk_read(&mut tmp, pid, Locality::Random, buf)?;
                 Ok(tmp.now)
             }
         }
@@ -894,9 +736,9 @@ impl PageIo for SsdManager {
                 // serving it would silently lose committed writes.
                 return Err(self.stranded_err(clk.now));
             }
-            SsdMetrics::bump(&self.metrics.quarantined_reads);
-            SsdMetrics::bump(&self.metrics.ssd_misses);
-            return self.disk_read(clk, pid, class, buf);
+            SsdMetrics::bump(&self.tier.metrics.quarantined_reads);
+            SsdMetrics::bump(&self.tier.metrics.ssd_misses);
+            return self.tier.disk_read(clk, pid, class, buf);
         }
         let hit: Option<(u64, bool)> = {
             let mut part = self.part(pid);
@@ -912,11 +754,11 @@ impl PageIo for SsdManager {
                         let stamp = self.next_stamp();
                         part.touch(idx, stamp);
                         Some((part.frame_no(idx), true))
-                    } else if self.throttled(clk.now) {
-                        SsdMetrics::bump(&self.metrics.throttled_reads);
+                    } else if self.tier.throttled(clk.now) {
+                        SsdMetrics::bump(&self.tier.metrics.throttled_reads);
                         None
-                    } else if self.hedge_or_probe() {
-                        SsdMetrics::bump(&self.metrics.hedged_reads);
+                    } else if self.tier.hedge_or_probe() {
+                        SsdMetrics::bump(&self.tier.metrics.hedged_reads);
                         None
                     } else {
                         let stamp = self.next_stamp();
@@ -928,16 +770,16 @@ impl PageIo for SsdManager {
             }
         };
         if let Some((frame, dirty)) = hit {
-            match self.ssd_read(clk, frame, buf) {
+            match self.tier.ssd_read(clk, frame, buf) {
                 Ok(()) => {
-                    SsdMetrics::bump(&self.metrics.ssd_hits);
+                    SsdMetrics::bump(&self.tier.metrics.ssd_hits);
                     if dirty {
-                        SsdMetrics::bump(&self.metrics.dirty_hits);
+                        SsdMetrics::bump(&self.tier.metrics.dirty_hits);
                     }
                     return Ok(());
                 }
                 Err(e) => {
-                    self.note_ssd_error(&e);
+                    self.on_ssd_error(&e);
                     self.drop_corrupt(pid);
                     if dirty {
                         // The sole current copy is gone; the engine must
@@ -953,8 +795,8 @@ impl PageIo for SsdManager {
             // image is stale until the WAL tail is replayed.
             return Err(self.stranded_err(clk.now));
         }
-        SsdMetrics::bump(&self.metrics.ssd_misses);
-        self.disk_read(clk, pid, class, buf)
+        SsdMetrics::bump(&self.tier.metrics.ssd_misses);
+        self.tier.disk_read(clk, pid, class, buf)
     }
 
     fn read_run(&self, clk: &mut Clk, first: PageId, n: u64) -> Result<Vec<PageBuf>, IoError> {
@@ -969,9 +811,9 @@ impl PageIo for SsdManager {
         if self.is_quarantined() {
             // The table is empty, so every page below reads from disk; the
             // counter records the degradation for the harnesses.
-            SsdMetrics::bump(&self.metrics.quarantined_reads);
+            SsdMetrics::bump(&self.tier.metrics.quarantined_reads);
         }
-        let ps = self.io.page_size();
+        let ps = self.tier.io.page_size();
         let mut out: Vec<PageBuf> = (0..n).map(|_| PageBuf::zeroed(ps)).collect();
         let status: Vec<Option<(u64, bool)>> =
             (0..n).map(|i| self.run_status(first.offset(i))).collect();
@@ -981,13 +823,13 @@ impl PageIo for SsdManager {
         // Gray-failure hedging: while the SSD is flagged fail-slow its
         // clean-resident pages read from disk like misses (dirty pages
         // must still patch from the SSD — theirs is the only copy).
-        let hedging = self.hedge_or_probe();
+        let hedging = self.tier.hedge_or_probe();
         if hedging && self.cfg.multipage != MultiPageMode::DiskOnly {
             let diverted = status
                 .iter()
                 .filter(|s| matches!(s, Some((_, false))))
                 .count() as u64;
-            SsdMetrics::add(&self.metrics.hedged_reads, diverted);
+            SsdMetrics::add(&self.tier.metrics.hedged_reads, diverted);
         }
 
         match self.cfg.multipage {
@@ -995,7 +837,7 @@ impl PageIo for SsdManager {
                 // Trimming (§3.3.3): peel SSD-resident pages off both ends,
                 // read the middle as one disk I/O; dirty SSD pages inside
                 // the middle are patched from the SSD afterwards.
-                let throttled = self.throttled(now0) || hedging;
+                let throttled = self.tier.throttled(now0) || hedging;
                 let from_ssd = |s: &Option<(u64, bool)>| match s {
                     Some((_, true)) => true,
                     Some((_, false)) => !throttled,
@@ -1012,7 +854,7 @@ impl PageIo for SsdManager {
                 let mid = lead..(n as usize - trail);
                 if !mid.is_empty() {
                     let mut tmp = Clk::at(now0);
-                    let pages = self.disk_read_run(
+                    let pages = self.tier.disk_read_run(
                         &mut tmp,
                         first.offset(mid.start as u64),
                         mid.len() as u64,
@@ -1047,7 +889,7 @@ impl PageIo for SsdManager {
                 // The paper's discarded first cut: split the request at
                 // every SSD-resident page; each disk fragment pays its own
                 // positioning cost.
-                let throttled = self.throttled(now0) || hedging;
+                let throttled = self.tier.throttled(now0) || hedging;
                 let mut i = 0usize;
                 while i < n as usize {
                     match status[i] {
@@ -1071,7 +913,7 @@ impl PageIo for SsdManager {
                                 i += 1;
                             }
                             let mut tmp = Clk::at(now0);
-                            let pages = self.disk_read_run(
+                            let pages = self.tier.disk_read_run(
                                 &mut tmp,
                                 first.offset(seg_start as u64),
                                 (i - seg_start) as u64,
@@ -1087,7 +929,9 @@ impl PageIo for SsdManager {
             }
             MultiPageMode::DiskOnly => {
                 let mut tmp = Clk::at(now0);
-                let pages = self.disk_read_run(&mut tmp, first, n, Locality::Sequential)?;
+                let pages = self
+                    .tier
+                    .disk_read_run(&mut tmp, first, n, Locality::Sequential)?;
                 done = done.max(tmp.now);
                 for (k, page) in pages.into_iter().enumerate() {
                     out[k] = page;
@@ -1112,7 +956,7 @@ impl PageIo for SsdManager {
         if self.is_quarantined() {
             // Degraded noSSD path: dirty evictions go straight to disk.
             if dirty {
-                self.disk_write(now, pid, data);
+                self.tier.disk_write(now, pid, data);
             }
             return;
         }
@@ -1132,28 +976,28 @@ impl PageIo for SsdManager {
         match self.admission.admit(pid, class, self.filling()) {
             AdmitVerdict::Admit => {}
             AdmitVerdict::AdmitGhost => {
-                SsdMetrics::bump(&self.metrics.admission_ghost_hits);
+                SsdMetrics::bump(&self.tier.metrics.admission_ghost_hits);
             }
             AdmitVerdict::Reject => {
-                SsdMetrics::bump(&self.metrics.policy_rejections);
+                SsdMetrics::bump(&self.tier.metrics.policy_rejections);
                 if dirty {
-                    self.disk_write(now, pid, data);
+                    self.tier.disk_write(now, pid, data);
                 }
                 return;
             }
         }
-        let queue_full = self.throttled(now);
+        let queue_full = self.tier.throttled(now);
         if queue_full {
-            SsdMetrics::bump(&self.metrics.throttled_admissions);
+            SsdMetrics::bump(&self.tier.metrics.throttled_admissions);
         }
         // Gray-failure hedging: a browned-out SSD receives no optional
         // traffic — admissions divert to disk exactly like throttling.
         // For LC this is also the sole-copy guard: a dirty eviction that
         // would have become an SSD-only copy goes to disk instead, so no
         // *new* sole copies land on a degraded device.
-        let hedging = !queue_full && self.hedge_or_probe();
+        let hedging = !queue_full && self.tier.hedge_or_probe();
         if hedging {
-            SsdMetrics::bump(&self.metrics.hedged_admissions);
+            SsdMetrics::bump(&self.tier.metrics.hedged_admissions);
         }
         let throttled = queue_full || hedging;
 
@@ -1161,7 +1005,7 @@ impl PageIo for SsdManager {
             SsdDesign::CleanWrite => {
                 if dirty {
                     // CW never caches dirty pages (§2.3.1).
-                    self.disk_write(now, pid, data);
+                    self.tier.disk_write(now, pid, data);
                 } else if !throttled {
                     self.install(now, pid, data, false);
                 }
@@ -1169,7 +1013,7 @@ impl PageIo for SsdManager {
             SsdDesign::DualWrite => {
                 // Write-through: dirty pages go to both places (§2.3.2).
                 if dirty {
-                    self.disk_write(now, pid, data);
+                    self.tier.disk_write(now, pid, data);
                 }
                 if !throttled {
                     self.install(now, pid, data, false);
@@ -1178,7 +1022,7 @@ impl PageIo for SsdManager {
             SsdDesign::LazyCleaning => {
                 let paused = now < self.pause_dirty_until.load(Ordering::Relaxed);
                 if dirty && (throttled || paused) {
-                    self.disk_write(now, pid, data);
+                    self.tier.disk_write(now, pid, data);
                 } else if !throttled {
                     // Write-back: the SSD receives the only current copy of
                     // a dirty page (§2.3.3). WAL ordering is the engine's
@@ -1199,23 +1043,17 @@ impl PageIo for SsdManager {
         if let Some(idx) = part.lookup(pid) {
             let rec = part.remove(idx);
             drop(part);
-            self.audit(pid, AuditOp::Invalidate);
+            self.tier.audit(pid, AuditOp::Invalidate);
             self.occupancy.fetch_sub(1, Ordering::Relaxed);
             if rec.dirty {
                 self.dirty_total.fetch_sub(1, Ordering::Relaxed);
             }
-            SsdMetrics::bump(&self.metrics.invalidations);
+            SsdMetrics::bump(&self.tier.metrics.invalidations);
         }
     }
 
     fn checkpoint_write(&self, now: Time, pid: PageId, data: &[u8], class: Locality) -> Time {
-        let done = match fault::retry_write_forever(|| {
-            self.io.write_disk_async(now, pid, data, Locality::Random)
-        }) {
-            Ok(t) => t,
-            // A dead disk completes nothing; there is nothing to wait on.
-            Err(_) => now,
-        };
+        let done = self.tier.disk_write(now, pid, data);
         // DW extension (§3.2): during a checkpoint, admission-qualified
         // dirty pages are written to the SSD as well, filling it faster.
         // `filling = false` on purpose: the pre-trait rule was plain
@@ -1225,17 +1063,17 @@ impl PageIo for SsdManager {
             && {
                 let v = self.admission.admit(pid, class, false);
                 if v == AdmitVerdict::AdmitGhost {
-                    SsdMetrics::bump(&self.metrics.admission_ghost_hits);
+                    SsdMetrics::bump(&self.tier.metrics.admission_ghost_hits);
                 }
                 v.admitted()
             }
             && !self.is_quarantined()
-            && !self.throttled(now)
+            && !self.tier.throttled(now)
         {
-            if self.hedge_or_probe() {
+            if self.tier.hedge_or_probe() {
                 // No optional traffic to a browned-out SSD; the disk
                 // write above already persisted the page.
-                SsdMetrics::bump(&self.metrics.hedged_admissions);
+                SsdMetrics::bump(&self.tier.metrics.hedged_admissions);
             } else {
                 let cached = {
                     let part = self.part(pid);
@@ -1287,14 +1125,14 @@ impl PageIo for SsdManager {
                     part.frame_no(idx)
                 };
                 let mut buf = self.buf_pool.take();
-                match self.ssd_read(clk, frame, &mut buf) {
+                match self.tier.ssd_read(clk, frame, &mut buf) {
                     Ok(()) => {
                         pids.push(*pid);
                         bufs.push(buf);
                     }
                     Err(e) => {
                         self.buf_pool.put(buf);
-                        self.note_ssd_error(&e);
+                        self.on_ssd_error(&e);
                         self.drop_corrupt(*pid);
                     }
                 }
@@ -1306,7 +1144,7 @@ impl PageIo for SsdManager {
             total += cleaned;
             i = j;
         }
-        SsdMetrics::add(&self.metrics.checkpoint_cleaned, total as u64);
+        SsdMetrics::add(&self.tier.metrics.checkpoint_cleaned, total as u64);
     }
 
     fn has_copy(&self, pid: PageId) -> bool {
@@ -1353,7 +1191,7 @@ mod tests {
         m.read_page(&mut clk, PageId(5), Locality::Random, &mut buf)
             .unwrap();
         assert_eq!(buf[0], 0xA5);
-        assert_eq!(m.metrics.snapshot().ssd_hits, 1);
+        assert_eq!(m.metrics().snapshot().ssd_hits, 1);
         // The hit was served by the SSD device, not the disks.
         assert_eq!(io.disk_stats().read_ops, 0);
     }
@@ -1369,7 +1207,7 @@ mod tests {
         // Fill target reached: sequential pages now bounce.
         m.evict_page(0, PageId(500), &page(2), false, Locality::Sequential);
         assert!(!m.contains(PageId(500)));
-        assert_eq!(m.metrics.snapshot().policy_rejections, 1);
+        assert_eq!(m.metrics().snapshot().policy_rejections, 1);
         // Random pages still enter.
         m.evict_page(0, PageId(501), &page(3), false, Locality::Random);
         assert!(m.contains(PageId(501)));
@@ -1412,7 +1250,7 @@ mod tests {
         m.note_dirtied(0, PageId(1));
         assert!(!m.contains(PageId(1)));
         assert_eq!(m.occupancy(), 0, "frame returned to the free list");
-        assert_eq!(m.metrics.snapshot().invalidations, 1);
+        assert_eq!(m.metrics().snapshot().invalidations, 1);
     }
 
     #[test]
@@ -1434,7 +1272,7 @@ mod tests {
         assert_eq!(m.occupancy(), 16, "replacement kept occupancy constant");
         assert!(m.contains(PageId(100)));
         assert!(!m.contains(PageId(0)), "coldest page was replaced");
-        assert_eq!(m.metrics.snapshot().replacements, 1);
+        assert_eq!(m.metrics().snapshot().replacements, 1);
     }
 
     #[test]
@@ -1451,7 +1289,7 @@ mod tests {
         for i in 0..4u64 {
             assert!(m.is_dirty(PageId(i)), "dirty page {i} must not be dropped");
         }
-        assert_eq!(m.metrics.snapshot().inline_cleans, 0);
+        assert_eq!(m.metrics().snapshot().inline_cleans, 0);
     }
 
     #[test]
@@ -1505,7 +1343,7 @@ mod tests {
         // Still cached (clean) in the SSD.
         assert!(m.contains(PageId(15)));
         assert!(!m.is_dirty(PageId(15)));
-        assert_eq!(m.metrics.snapshot().cleaner_writes, 1);
+        assert_eq!(m.metrics().snapshot().cleaner_writes, 1);
     }
 
     #[test]
@@ -1537,7 +1375,7 @@ mod tests {
         let mut clk = Clk::new();
         m.checkpoint_flush(&mut clk);
         assert_eq!(m.dirty_count(), 0);
-        assert_eq!(m.metrics.snapshot().checkpoint_cleaned, 6);
+        assert_eq!(m.metrics().snapshot().checkpoint_cleaned, 6);
         let mut buf = page(0);
         io.disk_store().read(PageId(900), &mut buf);
         assert_eq!(buf[0], 7);
@@ -1649,7 +1487,7 @@ mod tests {
         assert_eq!(m.dirty_count(), 4);
         // A fifth dirty eviction forces an inline clean.
         m.evict_page(0, PageId(999), &page(2), true, Locality::Random);
-        assert_eq!(m.metrics.snapshot().inline_cleans, 1);
+        assert_eq!(m.metrics().snapshot().inline_cleans, 1);
         assert_eq!(m.occupancy(), 4);
         assert!(m.is_dirty(PageId(999)));
     }
@@ -1680,7 +1518,7 @@ mod tests {
         assert_eq!(buf[0], 0xA5);
         assert!(m.is_quarantined());
         assert_eq!(m.occupancy(), 0, "table dropped at quarantine");
-        let s = m.metrics.snapshot();
+        let s = m.metrics().snapshot();
         assert_eq!(s.ssd_quarantined, 1);
         assert!(s.ssd_io_errors >= 1);
         assert_eq!(s.lost_frames, 1);
@@ -1693,7 +1531,7 @@ mod tests {
             .unwrap();
         assert_eq!(buf[0], 7);
         assert_eq!(io.ssd_stats().write_ops, ssd_writes);
-        assert!(m.metrics.snapshot().quarantined_reads >= 1);
+        assert!(m.metrics().snapshot().quarantined_reads >= 1);
     }
 
     #[test]
@@ -1715,7 +1553,7 @@ mod tests {
         assert!(m.is_quarantined());
         assert_eq!(m.take_stranded(), vec![PageId(3)]);
         assert!(m.take_stranded().is_empty(), "drained exactly once");
-        let s = m.metrics.snapshot();
+        let s = m.metrics().snapshot();
         assert_eq!(s.stranded_dirty, 1);
         assert_eq!(s.lost_frames, 1);
         assert_eq!(m.dirty_count(), 0);
@@ -1738,7 +1576,7 @@ mod tests {
             .unwrap();
         // The checksum caught the corruption; the disk copy was served.
         assert_eq!(buf, page(0x42));
-        let s = m.metrics.snapshot();
+        let s = m.metrics().snapshot();
         assert_eq!(s.checksum_misses, 1);
         assert!(!m.contains(PageId(9)), "corrupt frame invalidated");
         assert!(!m.is_quarantined(), "single error stays within budget");
@@ -1766,7 +1604,7 @@ mod tests {
         }
         // Third error exceeded the budget of 2.
         assert!(m.is_quarantined());
-        assert_eq!(m.metrics.snapshot().ssd_io_errors, 3);
+        assert_eq!(m.metrics().snapshot().ssd_io_errors, 3);
     }
 
     #[test]
@@ -1787,7 +1625,7 @@ mod tests {
             assert_eq!(buf[0], 0x11);
         }
         assert!(
-            m.metrics.snapshot().disk_retries > 0,
+            m.metrics().snapshot().disk_retries > 0,
             "some attempts must have been retried"
         );
     }

@@ -29,18 +29,16 @@
 
 use std::collections::HashMap;
 
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use turbopool_iosim::sync::Mutex;
 
 use turbopool_bufpool::{AdmissionKind, AdmissionPolicy, AdmitVerdict, PageIo};
-use turbopool_iosim::{
-    fault, Clk, IoError, IoErrorKind, IoManager, Locality, PageBuf, PageId, Time,
-};
+use turbopool_iosim::{Clk, IoError, IoManager, Locality, PageBuf, PageId, Time};
 
-use crate::audit::{AuditOp, InvariantAuditor};
-use crate::config::SsdConfig;
+use crate::audit::AuditOp;
+use crate::config::{SsdConfig, SsdDesign};
 use crate::metrics::SsdMetrics;
+use crate::tier::SsdTier;
 
 #[derive(Debug, Clone, Copy)]
 struct TacRec {
@@ -71,35 +69,27 @@ struct TacTable {
 /// [`crate::manager::SsdManager`].
 pub struct TacCache {
     cfg: SsdConfig,
-    io: Arc<IoManager>,
+    /// Quarantine, throttle, hedging, retried I/O, metrics and auditor.
+    /// Once quarantined, TAC runs write-through to disk only (its natural
+    /// degradation — nothing is ever stranded).
+    tier: SsdTier,
     table: Mutex<TacTable>,
-    /// True once the SSD has been quarantined; TAC then runs write-through
-    /// to disk only (its natural degradation — nothing is ever stranded).
-    quarantined: AtomicBool,
-    /// SSD I/O errors observed, charged against `cfg.ssd_error_budget`.
-    ssd_errors: AtomicU64,
-    /// Degraded-mode decision counter driving canary probes (see
-    /// [`TacCache::hedge_or_probe`]).
-    probe_tick: AtomicU64,
     /// Non-default admission policies (`AdmitAll`, `GhostHit`) replace
     /// TAC's extent-temperature comparison; `DesignDefault` keeps the
     /// inline temperature rule (it needs the extent table) and never
     /// consults this object.
     admission: Box<dyn AdmissionPolicy>,
-    pub metrics: SsdMetrics,
-    /// Shadow state machine validating every buffer-table transition.
-    auditor: InvariantAuditor,
 }
 
 impl TacCache {
     pub fn new(cfg: SsdConfig, io: Arc<IoManager>) -> Self {
-        assert!(cfg.frames <= io.ssd_frames(), "SSD file too small");
+        assert_eq!(cfg.design, SsdDesign::Tac, "TacCache runs TAC only");
         let frames = cfg.frames as usize;
         let admission = cfg.admission.build(frames);
         TacCache {
             admission,
+            tier: SsdTier::new(&cfg, io),
             cfg,
-            io,
             table: Mutex::new(TacTable {
                 records: vec![None; frames],
                 map: HashMap::with_capacity(frames),
@@ -108,41 +98,27 @@ impl TacCache {
                 heap: std::collections::BinaryHeap::new(),
                 invalid: 0,
             }),
-            quarantined: AtomicBool::new(false),
-            ssd_errors: AtomicU64::new(0),
-            probe_tick: AtomicU64::new(0),
-            metrics: SsdMetrics::default(),
-            auditor: InvariantAuditor::new(crate::SsdDesign::Tac),
         }
     }
 
     /// True once the SSD is quarantined and TAC runs disk-only.
     pub fn is_quarantined(&self) -> bool {
-        self.quarantined.load(Ordering::Relaxed)
+        self.tier.is_quarantined()
     }
 
-    /// Record one SSD I/O error; quarantine on device death or once the
-    /// error budget is exhausted. Must not be called while `table` is held
-    /// (quarantine re-locks it to sweep the table).
-    fn note_ssd_error(&self, e: &IoError) {
-        SsdMetrics::bump(&self.metrics.ssd_io_errors);
-        if e.kind == IoErrorKind::ChecksumMismatch {
-            SsdMetrics::bump(&self.metrics.checksum_misses);
-        }
-        let seen = self.ssd_errors.fetch_add(1, Ordering::Relaxed) + 1;
-        if e.kind == IoErrorKind::DeviceDead || seen > self.cfg.ssd_error_budget {
-            self.quarantine();
-        }
+    /// Counters for the evaluation harnesses.
+    pub fn metrics(&self) -> &SsdMetrics {
+        &self.tier.metrics
     }
 
-    /// Drop the whole cache and refuse all future SSD traffic. TAC is
-    /// write-through, so no data is lost — only hits. The table is swept
-    /// in frame order so the audit stream stays deterministic.
-    fn quarantine(&self) {
-        if self.quarantined.swap(true, Ordering::SeqCst) {
+    /// Charge `e` to the SSD error budget; if that trips quarantine, drop
+    /// the whole cache. Must not be called while `table` is held. TAC is
+    /// write-through, so quarantine loses no data — only hits. The table
+    /// is swept in frame order so the audit stream stays deterministic.
+    fn on_ssd_error(&self, e: &IoError) {
+        if !self.tier.note_error(e) {
             return;
         }
-        SsdMetrics::bump(&self.metrics.ssd_quarantined);
         let live: Vec<PageId> = {
             let mut table = self.table.lock();
             table.map.clear();
@@ -158,8 +134,8 @@ impl TacCache {
                 .collect()
         };
         for pid in live {
-            self.audit(pid, AuditOp::Quarantine);
-            SsdMetrics::bump(&self.metrics.lost_frames);
+            self.tier.audit(pid, AuditOp::Quarantine);
+            SsdMetrics::bump(&self.tier.metrics.lost_frames);
         }
     }
 
@@ -175,41 +151,8 @@ impl TacCache {
             }
             table.free.push(frame);
             drop(table);
-            self.audit(pid, AuditOp::CorruptInvalidate);
-            SsdMetrics::bump(&self.metrics.lost_frames);
-        }
-    }
-
-    /// SSD frame read with transient-error retries on `clk`.
-    fn ssd_read(&self, clk: &mut Clk, frame: u64, buf: &mut [u8]) -> Result<(), IoError> {
-        let (retries, out) =
-            fault::retry_sync_with(&self.cfg.retry, clk, |c| self.io.read_ssd(c, frame, buf));
-        SsdMetrics::add(&self.metrics.ssd_retries, u64::from(retries));
-        out
-    }
-
-    /// Synchronous disk read with the standard capped-backoff retry policy.
-    fn disk_read(
-        &self,
-        clk: &mut Clk,
-        pid: PageId,
-        class: Locality,
-        buf: &mut [u8],
-    ) -> Result<(), IoError> {
-        let (retries, out) = fault::retry_sync_with(&self.cfg.retry, clk, |c| {
-            self.io.read_disk(c, pid, buf, class)
-        });
-        SsdMetrics::add(&self.metrics.disk_retries, u64::from(retries));
-        out
-    }
-
-    /// Asynchronous disk write that must not drop data (see
-    /// `SsdManager::disk_write` for the policy).
-    fn disk_write(&self, now: Time, pid: PageId, data: &[u8]) {
-        if let Err(e) = fault::retry_write_forever(|| {
-            self.io.write_disk_async(now, pid, data, Locality::Random)
-        }) {
-            debug_assert!(!e.is_transient());
+            self.tier.audit(pid, AuditOp::CorruptInvalidate);
+            SsdMetrics::bump(&self.tier.metrics.lost_frames);
         }
     }
 
@@ -217,22 +160,10 @@ impl TacCache {
         &self.cfg
     }
 
-    /// Invariant violations caught so far (see [`InvariantAuditor`]).
+    /// Invariant violations caught so far (see
+    /// [`InvariantAuditor`](crate::audit::InvariantAuditor)).
     pub fn audit_violations(&self) -> u64 {
-        self.auditor.violations()
-    }
-
-    /// Report a buffer-table transition to the auditor. Violations are
-    /// counted in the metrics and abort debug builds immediately.
-    fn audit(&self, pid: PageId, op: AuditOp) {
-        if let Err(e) = self.auditor.observe(pid, op) {
-            SsdMetrics::bump(&self.metrics.audit_violations);
-            if cfg!(debug_assertions) {
-                // lint: allow(panic) — the auditor's whole point: fail the
-                // test run at the first illegal state-machine transition.
-                panic!("SSD buffer-table invariant violated: {e} (pid {pid})");
-            }
-        }
+        self.tier.audit_violations()
     }
 
     /// Occupied frames (valid + invalid).
@@ -273,45 +204,12 @@ impl TacCache {
 
     /// Time saved by serving `class`-type read from SSD instead of disk.
     fn saved_ns(&self, class: Locality) -> u64 {
-        let setup = self.io.setup();
+        let setup = self.tier.io.setup();
         let disk = match class {
             Locality::Random => setup.disk_profile.rand_read_ns,
             Locality::Sequential => setup.disk_profile.seq_read_ns,
         };
         disk.saturating_sub(setup.ssd_profile.rand_read_ns)
-    }
-
-    fn throttled(&self, now: Time) -> bool {
-        self.io.ssd_overloaded(now, self.cfg.mu)
-    }
-
-    /// Gray-failure hedging: TAC is write-through, so every SSD copy has
-    /// a current disk twin and *all* SSD traffic (reads, admissions, and
-    /// refreshes) can divert to disk while the device is flagged
-    /// fail-slow — there is no sole-copy exception to honor.
-    fn ssd_degraded(&self) -> bool {
-        self.cfg.hedged_reads && self.io.ssd_slow()
-    }
-
-    /// Should this hedge-eligible decision divert away from the SSD?
-    /// Every `cfg.hedge_probe_interval`-th degraded decision is let
-    /// through as a canary probe so the fail-slow detector keeps
-    /// receiving samples and can observe recovery; while the detector
-    /// reports `clearing`, every decision probes to confirm (mirrors
-    /// `SsdManager::hedge_or_probe`).
-    fn hedge_or_probe(&self) -> bool {
-        if !self.ssd_degraded() {
-            return false;
-        }
-        if self.io.ssd_clearing() {
-            return false;
-        }
-        let n = self.cfg.hedge_probe_interval;
-        if n == 0 {
-            return true;
-        }
-        let t = self.probe_tick.fetch_add(1, Ordering::Relaxed);
-        t % n != n - 1
     }
 
     /// Record a memory-pool miss of `pid`: heat its extent.
@@ -356,8 +254,8 @@ impl TacCache {
         // lint: allow(panic) — cold_frame came off the temperature heap, which only holds mapped frames.
         let old = table.records[cold_frame].take().unwrap();
         table.map.remove(&old.pid);
-        self.audit(old.pid, AuditOp::Replace);
-        SsdMetrics::bump(&self.metrics.replacements);
+        self.tier.audit(old.pid, AuditOp::Replace);
+        SsdMetrics::bump(&self.tier.metrics.replacements);
         self.admission.note_evicted(old.pid);
         Some(cold_frame)
     }
@@ -366,12 +264,12 @@ impl TacCache {
         if self.is_quarantined() {
             return;
         }
-        if self.throttled(now) {
-            SsdMetrics::bump(&self.metrics.throttled_admissions);
+        if self.tier.throttled(now) {
+            SsdMetrics::bump(&self.tier.metrics.throttled_admissions);
             return;
         }
-        if self.hedge_or_probe() {
-            SsdMetrics::bump(&self.metrics.hedged_admissions);
+        if self.tier.hedge_or_probe() {
+            SsdMetrics::bump(&self.tier.metrics.hedged_admissions);
             return;
         }
         let mut table = self.table.lock();
@@ -398,15 +296,15 @@ impl TacCache {
                                 // lint: allow(panic) — cold_frame came off the temperature heap, which only holds mapped frames.
                                 let old = table.records[cold_frame].take().unwrap();
                                 table.map.remove(&old.pid);
-                                self.audit(old.pid, AuditOp::Replace);
-                                SsdMetrics::bump(&self.metrics.replacements);
+                                self.tier.audit(old.pid, AuditOp::Replace);
+                                SsdMetrics::bump(&self.tier.metrics.replacements);
                                 Some(cold_frame)
                             }
                         }
                         Some((cold, cold_frame)) => {
                             // Not hot enough; put the candidate back.
                             table.heap.push(std::cmp::Reverse((cold, cold_frame)));
-                            SsdMetrics::bump(&self.metrics.policy_rejections);
+                            SsdMetrics::bump(&self.tier.metrics.policy_rejections);
                             None
                         }
                         // No valid page to compare against: admit if space
@@ -420,11 +318,11 @@ impl TacCache {
                 match verdict {
                     AdmitVerdict::Admit => self.place_replacing_coldest(&mut table),
                     AdmitVerdict::AdmitGhost => {
-                        SsdMetrics::bump(&self.metrics.admission_ghost_hits);
+                        SsdMetrics::bump(&self.tier.metrics.admission_ghost_hits);
                         self.place_replacing_coldest(&mut table)
                     }
                     AdmitVerdict::Reject => {
-                        SsdMetrics::bump(&self.metrics.policy_rejections);
+                        SsdMetrics::bump(&self.tier.metrics.policy_rejections);
                         None
                     }
                 }
@@ -437,11 +335,11 @@ impl TacCache {
         // successful submission — a gate failure (dead or transient) must
         // not leave a record pointing at unwritten bytes.
         drop(table);
-        let done = match self.io.write_ssd_async(now, frame as u64, data, pid) {
+        let done = match self.tier.io.write_ssd_async(now, frame as u64, data, pid) {
             Ok(t) => t,
             Err(e) => {
                 self.table.lock().free.push(frame);
-                self.note_ssd_error(&e);
+                self.on_ssd_error(&e);
                 return;
             }
         };
@@ -461,11 +359,89 @@ impl TacCache {
         table.map.insert(pid, frame);
         let temp = *table.temps.get(&self.extent(pid)).unwrap_or(&0);
         table.heap.push(std::cmp::Reverse((temp, frame)));
-        self.audit(pid, AuditOp::Admit { dirty: false });
-        SsdMetrics::bump(&self.metrics.admissions);
+        self.tier.audit(pid, AuditOp::Admit { dirty: false });
+        SsdMetrics::bump(&self.tier.metrics.admissions);
         if filling {
-            SsdMetrics::bump(&self.metrics.fill_admissions);
+            SsdMetrics::bump(&self.tier.metrics.fill_admissions);
         }
+    }
+
+    /// Logical invalidation (§2.5): `rec`'s frame stays occupied, but its
+    /// version must never be read again.
+    fn invalidate(&self, table: &mut TacTable, frame: usize, rec: TacRec) {
+        table.records[frame] = Some(TacRec {
+            valid: false,
+            ..rec
+        });
+        table.invalid += 1;
+        self.tier.audit(rec.pid, AuditOp::LogicalInvalidate);
+        SsdMetrics::bump(&self.tier.metrics.invalidations);
+    }
+
+    /// The disk copy of `pid` just advanced (dirty eviction or checkpoint
+    /// write), so ANY existing SSD version of it is now stale and must be
+    /// refreshed (flow iv) or invalidated. The invalid case is the paper's
+    /// flow; a *valid* record can also be stale here: a run-read admitted
+    /// the disk version while this newer copy sat dirty in the memory pool
+    /// (scan read-ahead does exactly that), and keeping it would serve
+    /// lost updates. Returns true if an invalid frame was revalidated.
+    fn refresh_stale(&self, now: Time, pid: PageId, data: &[u8]) -> bool {
+        if self.is_quarantined() {
+            return false;
+        }
+        let mut pending: Option<IoError> = None;
+        let mut revalidated = false;
+        {
+            let mut table = self.table.lock();
+            if let Some(&frame) = table.map.get(&pid) {
+                // lint: allow(panic) — map/records consistency: a mapped frame always holds a record.
+                let rec = table.records[frame].unwrap();
+                let throttled = self.tier.throttled(now);
+                let hedging = !throttled && self.tier.hedge_or_probe();
+                if hedging {
+                    // No refresh traffic to a browned-out SSD.
+                    SsdMetrics::bump(&self.tier.metrics.hedged_admissions);
+                }
+                let refreshed = if throttled || hedging {
+                    false
+                } else {
+                    // lint: allow(lock-across-io) — the refresh-or-invalidate
+                    // decision must be atomic with the record's state, and
+                    // write_ssd_async is an O(1) non-blocking booking; no
+                    // other latch is ever taken under the table latch.
+                    match self.tier.io.write_ssd_async(now, frame as u64, data, pid) {
+                        Ok(done) => {
+                            table.records[frame] = Some(TacRec {
+                                pid,
+                                valid: true,
+                                valid_at: done,
+                            });
+                            if !rec.valid {
+                                table.invalid -= 1;
+                                revalidated = true;
+                            }
+                            let temp = *table.temps.get(&self.extent(pid)).unwrap_or(&0);
+                            table.heap.push(std::cmp::Reverse((temp, frame)));
+                            self.tier.audit(pid, AuditOp::Refresh);
+                            true
+                        }
+                        Err(e) => {
+                            pending = Some(e);
+                            false
+                        }
+                    }
+                };
+                if !refreshed && rec.valid {
+                    // Throttled, browned out, or the write failed: the
+                    // stale version must never be read again.
+                    self.invalidate(&mut table, frame, rec);
+                }
+            }
+        }
+        if let Some(e) = pending {
+            self.on_ssd_error(&e);
+        }
+        revalidated
     }
 
     /// Extent temperature accessor for unit tests.
@@ -484,9 +460,9 @@ impl PageIo for TacCache {
         buf: &mut [u8],
     ) -> Result<(), IoError> {
         if self.is_quarantined() {
-            SsdMetrics::bump(&self.metrics.quarantined_reads);
-            SsdMetrics::bump(&self.metrics.ssd_misses);
-            return self.disk_read(clk, pid, class, buf);
+            SsdMetrics::bump(&self.tier.metrics.quarantined_reads);
+            SsdMetrics::bump(&self.tier.metrics.ssd_misses);
+            return self.tier.disk_read(clk, pid, class, buf);
         }
         let hit: Option<u64> = {
             let mut table = self.table.lock();
@@ -501,11 +477,11 @@ impl PageIo for TacCache {
                     // complete; a usable hit still diverts to disk under
                     // throttle (§3.3.2) or a fail-slow flag (hedging).
                     if rec.valid && clk.now >= rec.valid_at {
-                        if self.throttled(clk.now) {
-                            SsdMetrics::bump(&self.metrics.throttled_reads);
+                        if self.tier.throttled(clk.now) {
+                            SsdMetrics::bump(&self.tier.metrics.throttled_reads);
                             None
-                        } else if self.hedge_or_probe() {
-                            SsdMetrics::bump(&self.metrics.hedged_reads);
+                        } else if self.tier.hedge_or_probe() {
+                            SsdMetrics::bump(&self.tier.metrics.hedged_reads);
                             None
                         } else {
                             Some(frame as u64)
@@ -518,21 +494,21 @@ impl PageIo for TacCache {
             }
         };
         if let Some(frame) = hit {
-            match self.ssd_read(clk, frame, buf) {
+            match self.tier.ssd_read(clk, frame, buf) {
                 Ok(()) => {
-                    SsdMetrics::bump(&self.metrics.ssd_hits);
+                    SsdMetrics::bump(&self.tier.metrics.ssd_hits);
                     return Ok(());
                 }
                 Err(e) => {
                     // Write-through: the disk copy is current, so a bad
                     // frame just costs the hit — drop it and fall through.
-                    self.note_ssd_error(&e);
+                    self.on_ssd_error(&e);
                     self.drop_corrupt(pid);
                 }
             }
         }
-        SsdMetrics::bump(&self.metrics.ssd_misses);
-        self.disk_read(clk, pid, class, buf)?;
+        SsdMetrics::bump(&self.tier.metrics.ssd_misses);
+        self.tier.disk_read(clk, pid, class, buf)?;
         // TAC writes the page to the SSD immediately after the disk read
         // (§2.5 page flow, step ii).
         self.admit_on_read(clk.now, pid, buf, class);
@@ -545,14 +521,14 @@ impl PageIo for TacCache {
         // are sequential, hence cold — TAC does not admit them on read.
         assert!(n > 0);
         if self.is_quarantined() {
-            SsdMetrics::bump(&self.metrics.quarantined_reads);
+            SsdMetrics::bump(&self.tier.metrics.quarantined_reads);
         }
-        let ps = self.io.page_size();
+        let ps = self.tier.io.page_size();
         let mut out: Vec<PageBuf> = (0..n).map(|_| PageBuf::zeroed(ps)).collect();
         let now0 = clk.now;
         let mut done = now0;
-        let hedging = self.hedge_or_probe();
-        let throttled = self.throttled(now0) || hedging;
+        let hedging = self.tier.hedge_or_probe();
+        let throttled = self.tier.throttled(now0) || hedging;
         // Per-page status probe, under one latch for the whole run.
         let status: Vec<Option<u64>> = {
             let table = self.table.lock();
@@ -564,7 +540,7 @@ impl PageIo for TacCache {
                         let rec = table.records[l].unwrap();
                         let usable = rec.valid && now0 >= rec.valid_at;
                         if usable && hedging {
-                            SsdMetrics::bump(&self.metrics.hedged_reads);
+                            SsdMetrics::bump(&self.tier.metrics.hedged_reads);
                         }
                         (usable && !throttled).then_some(l as u64)
                     })
@@ -582,16 +558,12 @@ impl PageIo for TacCache {
         let mid = lead..(n as usize - trail);
         if !mid.is_empty() {
             let mut tmp = Clk::at(now0);
-            let (retries, res) = fault::retry_sync_with(&self.cfg.retry, &mut tmp, |c| {
-                self.io.read_disk_run(
-                    c,
-                    first.offset(mid.start as u64),
-                    mid.len() as u64,
-                    Locality::Sequential,
-                )
-            });
-            SsdMetrics::add(&self.metrics.disk_retries, u64::from(retries));
-            let pages = res?;
+            let pages = self.tier.disk_read_run(
+                &mut tmp,
+                first.offset(mid.start as u64),
+                mid.len() as u64,
+                Locality::Sequential,
+            )?;
             done = done.max(tmp.now);
             for (k, page) in pages.into_iter().enumerate() {
                 let pid = first.offset((mid.start + k) as u64);
@@ -609,23 +581,23 @@ impl PageIo for TacCache {
             let frame = status[i].unwrap();
             let pid = first.offset(i as u64);
             let mut tmp = Clk::at(now0);
-            match self.ssd_read(&mut tmp, frame, out[i].as_mut_slice()) {
+            match self.tier.ssd_read(&mut tmp, frame, out[i].as_mut_slice()) {
                 Ok(()) => {
                     done = done.max(tmp.now);
-                    SsdMetrics::bump(&self.metrics.ssd_hits);
+                    SsdMetrics::bump(&self.tier.metrics.ssd_hits);
                 }
                 Err(e) => {
                     // Same fallback as read_page: drop the bad frame and
                     // fetch the current disk copy instead.
-                    self.note_ssd_error(&e);
+                    self.on_ssd_error(&e);
                     self.drop_corrupt(pid);
                     let mut tmp = Clk::at(now0);
-                    let (retries, res) = fault::retry_sync_with(&self.cfg.retry, &mut tmp, |c| {
-                        self.io
-                            .read_disk(c, pid, out[i].as_mut_slice(), Locality::Sequential)
-                    });
-                    SsdMetrics::add(&self.metrics.disk_retries, u64::from(retries));
-                    res?;
+                    self.tier.disk_read(
+                        &mut tmp,
+                        pid,
+                        Locality::Sequential,
+                        out[i].as_mut_slice(),
+                    )?;
                     done = done.max(tmp.now);
                 }
             }
@@ -641,79 +613,9 @@ impl PageIo for TacCache {
         }
         // Write-through to disk, as in a traditional DBMS. This write must
         // not drop data, so it rides the retry-forever policy.
-        self.disk_write(now, pid, data);
-        if self.is_quarantined() {
-            return;
-        }
-        // The disk copy just advanced, so ANY existing SSD version of this
-        // page is now stale and must be refreshed (flow iv) or dropped.
-        // The invalid case is the paper's flow; a *valid* record can also
-        // be stale here: a run-read admitted the disk version while this
-        // newer copy sat dirty in the memory pool (scan read-ahead does
-        // exactly that), and keeping it would serve lost updates.
-        let mut pending: Option<IoError> = None;
-        {
-            let mut table = self.table.lock();
-            if let Some(&frame) = table.map.get(&pid) {
-                // lint: allow(panic) — map/records consistency: a mapped frame always holds a record.
-                let rec = table.records[frame].unwrap();
-                let hedging = !self.throttled(now) && self.hedge_or_probe();
-                if hedging {
-                    // No refresh traffic to a browned-out SSD.
-                    SsdMetrics::bump(&self.metrics.hedged_admissions);
-                }
-                if !self.throttled(now) && !hedging {
-                    // lint: allow(lock-across-io) — the refresh-or-invalidate
-                    // decision must be atomic with the record's state, and
-                    // write_ssd_async is an O(1) non-blocking booking; no
-                    // other latch is ever taken under the table latch.
-                    match self.io.write_ssd_async(now, frame as u64, data, pid) {
-                        Ok(done) => {
-                            table.records[frame] = Some(TacRec {
-                                pid,
-                                valid: true,
-                                valid_at: done,
-                            });
-                            if !rec.valid {
-                                table.invalid -= 1;
-                            }
-                            let temp = *table.temps.get(&self.extent(pid)).unwrap_or(&0);
-                            table.heap.push(std::cmp::Reverse((temp, frame)));
-                            self.audit(pid, AuditOp::Refresh);
-                            if !rec.valid {
-                                SsdMetrics::bump(&self.metrics.admissions);
-                            }
-                        }
-                        Err(e) => {
-                            // Refresh failed: the SSD version (if valid) is
-                            // now stale and must never be read again.
-                            if rec.valid {
-                                table.records[frame] = Some(TacRec {
-                                    valid: false,
-                                    ..rec
-                                });
-                                table.invalid += 1;
-                                self.audit(pid, AuditOp::LogicalInvalidate);
-                                SsdMetrics::bump(&self.metrics.invalidations);
-                            }
-                            pending = Some(e);
-                        }
-                    }
-                } else if rec.valid {
-                    // Cannot rewrite under throttle or brownout: invalidate
-                    // so the stale version can never be read.
-                    table.records[frame] = Some(TacRec {
-                        valid: false,
-                        ..rec
-                    });
-                    table.invalid += 1;
-                    self.audit(pid, AuditOp::LogicalInvalidate);
-                    SsdMetrics::bump(&self.metrics.invalidations);
-                }
-            }
-        }
-        if let Some(e) = pending {
-            self.note_ssd_error(&e);
+        self.tier.disk_write(now, pid, data);
+        if self.refresh_stale(now, pid, data) {
+            SsdMetrics::bump(&self.tier.metrics.admissions);
         }
     }
 
@@ -730,93 +632,18 @@ impl PageIo for TacCache {
                     table.records[frame] = None;
                     table.map.remove(&pid);
                     table.free.push(frame);
-                    self.audit(pid, AuditOp::Cancel);
-                    SsdMetrics::bump(&self.metrics.tac_cancelled_writes);
+                    self.tier.audit(pid, AuditOp::Cancel);
+                    SsdMetrics::bump(&self.tier.metrics.tac_cancelled_writes);
                 } else {
-                    // Logical invalidation: the frame stays occupied.
-                    table.records[frame] = Some(TacRec {
-                        valid: false,
-                        ..rec
-                    });
-                    table.invalid += 1;
-                    self.audit(pid, AuditOp::LogicalInvalidate);
-                    SsdMetrics::bump(&self.metrics.invalidations);
+                    self.invalidate(&mut table, frame, rec);
                 }
             }
         }
     }
 
     fn checkpoint_write(&self, now: Time, pid: PageId, data: &[u8], _class: Locality) -> Time {
-        let done = match fault::retry_write_forever(|| {
-            self.io.write_disk_async(now, pid, data, Locality::Random)
-        }) {
-            Ok(t) => t,
-            Err(_) => now,
-        };
-        if self.is_quarantined() {
-            return done;
-        }
-        // Same stale-version refresh/invalidate as the eviction flow: the
-        // disk copy advances here, so no older SSD version may stay valid.
-        let mut pending: Option<IoError> = None;
-        {
-            let mut table = self.table.lock();
-            if let Some(&frame) = table.map.get(&pid) {
-                // lint: allow(panic) — map/records consistency: a mapped frame always holds a record.
-                let rec = table.records[frame].unwrap();
-                let hedging = !self.throttled(now) && self.hedge_or_probe();
-                if hedging {
-                    // No refresh traffic to a browned-out SSD.
-                    SsdMetrics::bump(&self.metrics.hedged_admissions);
-                }
-                if !self.throttled(now) && !hedging {
-                    // lint: allow(lock-across-io) — the refresh-or-invalidate
-                    // decision must be atomic with the record's state, and
-                    // write_ssd_async is an O(1) non-blocking booking; no
-                    // other latch is ever taken under the table latch.
-                    match self.io.write_ssd_async(now, frame as u64, data, pid) {
-                        Ok(wdone) => {
-                            table.records[frame] = Some(TacRec {
-                                pid,
-                                valid: true,
-                                valid_at: wdone,
-                            });
-                            if !rec.valid {
-                                table.invalid -= 1;
-                            }
-                            let temp = *table.temps.get(&self.extent(pid)).unwrap_or(&0);
-                            table.heap.push(std::cmp::Reverse((temp, frame)));
-                            self.audit(pid, AuditOp::Refresh);
-                        }
-                        Err(e) => {
-                            if rec.valid {
-                                table.records[frame] = Some(TacRec {
-                                    valid: false,
-                                    ..rec
-                                });
-                                table.invalid += 1;
-                                self.audit(pid, AuditOp::LogicalInvalidate);
-                                SsdMetrics::bump(&self.metrics.invalidations);
-                            }
-                            pending = Some(e);
-                        }
-                    }
-                } else if rec.valid {
-                    // Cannot rewrite under throttle or brownout: invalidate
-                    // so the stale version can never be read.
-                    table.records[frame] = Some(TacRec {
-                        valid: false,
-                        ..rec
-                    });
-                    table.invalid += 1;
-                    self.audit(pid, AuditOp::LogicalInvalidate);
-                    SsdMetrics::bump(&self.metrics.invalidations);
-                }
-            }
-        }
-        if let Some(e) = pending {
-            self.note_ssd_error(&e);
-        }
+        let done = self.tier.disk_write(now, pid, data);
+        self.refresh_stale(now, pid, data);
         done
     }
 
@@ -838,7 +665,7 @@ mod tests {
 
     fn mk(frames: u64) -> (Arc<IoManager>, TacCache) {
         let io = Arc::new(IoManager::new(&DeviceSetup::paper(PS, 4096, frames)));
-        let mut cfg = SsdConfig::new(crate::SsdDesign::Tac, frames);
+        let mut cfg = SsdConfig::new(SsdDesign::Tac, frames);
         cfg.tac_extent_pages = 4;
         cfg.tau = 1.0; // fill every frame before qualified admission starts
         (Arc::clone(&io), TacCache::new(cfg, io))
@@ -864,7 +691,7 @@ mod tests {
         let disk_reads = io.disk_stats().read_ops;
         assert_eq!(read(&t, &mut clk, 3), 7);
         assert_eq!(io.disk_stats().read_ops, disk_reads, "second read hit SSD");
-        assert_eq!(t.metrics.snapshot().ssd_hits, 1);
+        assert_eq!(t.metrics().snapshot().ssd_hits, 1);
     }
 
     #[test]
@@ -876,7 +703,7 @@ mod tests {
         t.note_dirtied(clk.now, PageId(3));
         assert!(!t.contains_valid(PageId(3)));
         assert_eq!(t.occupancy(), 0, "cancelled write frees the frame");
-        assert_eq!(t.metrics.snapshot().tac_cancelled_writes, 1);
+        assert_eq!(t.metrics().snapshot().tac_cancelled_writes, 1);
         // Dirty eviction now finds NO invalid version: page skips the SSD.
         t.evict_page(clk.now + 1, PageId(3), &[9u8; PS], true, Locality::Random);
         assert_eq!(t.occupancy(), 0);
@@ -916,7 +743,7 @@ mod tests {
         // 9 (extent 2) replaces a cold extent-0 page.
         read(&t, &mut clk, 9);
         assert!(t.contains_valid(PageId(9)));
-        assert_eq!(t.metrics.snapshot().replacements, 1);
+        assert_eq!(t.metrics().snapshot().replacements, 1);
     }
 
     #[test]
@@ -977,7 +804,7 @@ mod tests {
         assert_eq!(read(&t, &mut clk, 3), 7);
         assert!(t.is_quarantined());
         assert_eq!(t.occupancy(), 0);
-        let s = t.metrics.snapshot();
+        let s = t.metrics().snapshot();
         assert_eq!(s.ssd_quarantined, 1);
         assert_eq!(s.lost_frames, 1);
         assert_eq!(s.stranded_dirty, 0, "TAC never strands: write-through");
@@ -985,7 +812,7 @@ mod tests {
         t.evict_page(clk.now, PageId(3), &[9u8; PS], true, Locality::Random);
         clk.elapse(turbopool_iosim::SECOND);
         assert_eq!(read(&t, &mut clk, 3), 9);
-        assert!(t.metrics.snapshot().quarantined_reads >= 1);
+        assert!(t.metrics().snapshot().quarantined_reads >= 1);
     }
 
     #[test]
@@ -1004,7 +831,7 @@ mod tests {
         clk.elapse(turbopool_iosim::SECOND);
         // ...so the next read fails verification and falls back to disk.
         assert_eq!(read(&t, &mut clk, 5), 3);
-        let s = t.metrics.snapshot();
+        let s = t.metrics().snapshot();
         assert_eq!(s.checksum_misses, 1);
         assert!(!t.is_quarantined());
     }

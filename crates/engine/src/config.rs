@@ -2,7 +2,7 @@
 
 use turbopool_bufpool::{ClassifierKind, ReplacementKind};
 use turbopool_core::SsdConfig;
-use turbopool_iosim::{DeviceSetup, FailSlowConfig, RetryPolicy};
+use turbopool_iosim::{DeviceSetup, FailSlowConfig};
 
 /// Everything needed to open a [`crate::Database`].
 #[derive(Clone, Debug)]
@@ -25,9 +25,6 @@ pub struct DbConfig {
     pub readahead_window: u64,
     /// Override the device calibration (defaults to the paper's Table 1).
     pub devices: Option<DeviceSetup>,
-    /// Retry/backoff policy for the noSSD baseline's synchronous reads
-    /// (SSD designs carry their own copy inside [`SsdConfig`]).
-    pub retry: RetryPolicy,
     /// Fail-slow detector tuning applied to both the disk group and the
     /// SSD when the database opens (gray-failure extension).
     pub failslow: FailSlowConfig,
@@ -47,7 +44,6 @@ impl DbConfig {
             replacement: ReplacementKind::Lru2,
             readahead_window: 32,
             devices: None,
-            retry: RetryPolicy::default(),
             failslow: FailSlowConfig::default(),
         }
     }

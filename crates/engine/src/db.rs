@@ -7,9 +7,9 @@ use std::sync::Arc;
 use turbopool_bufpool::{
     BufferPool, BufferPoolConfig, DirectIo, PageGuard, PageIo, PoolStats, ScanCursor,
 };
-use turbopool_core::{ImportReport, SsdDesign, SsdManager, TacCache};
+use turbopool_core::{ImportReport, SsdDesign, SsdManager, SsdMetrics, TacCache};
 use turbopool_iosim::sync::Mutex;
-use turbopool_iosim::{fault, Clk, IoError, IoManager, Locality, PageId, RetryPolicy, Time};
+use turbopool_iosim::{fault, Clk, IoError, IoManager, Locality, PageId, Time};
 use turbopool_wal::log::DurableLog;
 use turbopool_wal::{LogManager, LogScanReport, RecoveryStats, RedoStore};
 
@@ -64,11 +64,7 @@ impl Database {
         // the configured thresholds before any I/O is issued.
         io.configure_failslow(cfg.failslow);
         let (layer, ssd, tac): Layers = match &cfg.ssd {
-            None => (
-                Arc::new(DirectIo::with_retry(Arc::clone(&io), cfg.retry)),
-                None,
-                None,
-            ),
+            None => (Arc::new(DirectIo::new(Arc::clone(&io))), None, None),
             Some(scfg) if scfg.design == SsdDesign::Tac => {
                 let t = Arc::new(TacCache::new(scfg.clone(), Arc::clone(&io)));
                 (Arc::clone(&t) as Arc<dyn PageIo>, None, Some(t))
@@ -145,10 +141,16 @@ impl Database {
 
     /// SSD-manager counters regardless of design (`None` for noSSD).
     pub fn ssd_metrics(&self) -> Option<turbopool_core::metrics::SsdMetricsSnapshot> {
-        if let Some(m) = &self.ssd {
-            Some(m.metrics.snapshot())
-        } else {
-            self.tac.as_ref().map(|t| t.metrics.snapshot())
+        self.tier_metrics().map(SsdMetrics::snapshot)
+    }
+
+    /// The live SSD-tier counters of whichever cache runs (`None` for
+    /// noSSD).
+    fn tier_metrics(&self) -> Option<&SsdMetrics> {
+        match (&self.ssd, &self.tac) {
+            (Some(m), _) => Some(m.metrics()),
+            (None, Some(t)) => Some(t.metrics()),
+            (None, None) => None,
         }
     }
 
@@ -235,14 +237,8 @@ impl Database {
             // salvage pass can do.
             Err(_) => 0,
         };
-        if let Some(m) = &self.ssd {
-            m.metrics
-                .salvaged_pages
-                .fetch_add(n as u64, Ordering::Relaxed);
-        } else if let Some(t) = &self.tac {
-            t.metrics
-                .salvaged_pages
-                .fetch_add(n as u64, Ordering::Relaxed);
+        if let Some(m) = self.tier_metrics() {
+            m.salvaged_pages.fetch_add(n as u64, Ordering::Relaxed);
         }
         n
     }
@@ -440,7 +436,7 @@ impl Database {
 
     /// Fault-tolerant restart. Replays the durable log onto the disk image
     /// through the device fault model (transient redo errors retry with the
-    /// configured capped-backoff policy; recovery's own writes are durable
+    /// default capped-backoff policy; recovery's own writes are durable
     /// crash points), repairs the log tail, and — with warm restart on —
     /// re-adopts only SSD frames that probe clean, quarantining a dead SSD
     /// and degrading to a cold start instead of fighting it.
@@ -461,7 +457,6 @@ impl Database {
         let outcome = {
             let mut store = TimedRedoStore {
                 io: &image.io,
-                retry: image.cfg.retry,
                 clk: &mut clk,
                 retries: 0,
             };
@@ -580,7 +575,6 @@ impl std::fmt::Debug for RecoveryError {
 /// write is a durable-write boundary for the crash-schedule explorer).
 struct TimedRedoStore<'a> {
     io: &'a IoManager,
-    retry: RetryPolicy,
     clk: &'a mut Clk,
     retries: u32,
 }
@@ -590,14 +584,14 @@ impl RedoStore for TimedRedoStore<'_> {
         self.io.page_size()
     }
     fn read(&mut self, pid: PageId, buf: &mut [u8]) -> Result<(), IoError> {
-        let (r, out) = fault::retry_sync_with(&self.retry, self.clk, |c| {
+        let (r, out) = fault::retry_sync(self.clk, |c| {
             self.io.read_disk(c, pid, buf, Locality::Sequential)
         });
         self.retries += r;
         out
     }
     fn write(&mut self, pid: PageId, data: &[u8]) -> Result<(), IoError> {
-        let (r, out) = fault::retry_sync_with(&self.retry, self.clk, |c| {
+        let (r, out) = fault::retry_sync(self.clk, |c| {
             self.io.write_disk_sync(c, pid, data, Locality::Sequential)
         });
         self.retries += r;

@@ -457,9 +457,9 @@ pub const RETRY_BASE_BACKOFF_NS: Time = MILLISECOND;
 /// Default cap on the backoff growth exponent (see [`RetryPolicy`]).
 pub const RETRY_BACKOFF_CAP_EXP: u32 = 3;
 
-/// The bounded-retry knobs for transient I/O errors, promoted from the
-/// fault layer's original hardcoded caps so deployments can tune them
-/// per tier (`SsdConfig::retry`, `DbConfig::retry`).
+/// The bounded-retry knobs for transient I/O errors. Every tier (the SSD
+/// manager, TAC, the noSSD baseline and redo) uses the default through
+/// [`retry_sync`]; [`retry_sync_with`] takes another policy.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RetryPolicy {
     /// Retries allowed after the first attempt; transient errors beyond

@@ -93,7 +93,7 @@ fn randomized_ops_keep_auditor_clean_on_all_managers() {
             0,
             "{design:?}: auditor recorded violations"
         );
-        assert_eq!(m.metrics.snapshot().audit_violations, 0);
+        assert_eq!(m.metrics().snapshot().audit_violations, 0);
         // LC must end the run fully clean after checkpoint_flush.
         assert_eq!(m.dirty_count(), 0, "{design:?}: dirty pages left behind");
     }
@@ -108,7 +108,7 @@ fn randomized_ops_keep_auditor_clean_on_tac() {
         drive(&t, 0x7AC + seed, 3_000);
     }
     assert_eq!(t.audit_violations(), 0, "TAC: auditor recorded violations");
-    assert_eq!(t.metrics.snapshot().audit_violations, 0);
+    assert_eq!(t.metrics().snapshot().audit_violations, 0);
 }
 
 #[test]
