@@ -11,9 +11,9 @@
 
 use std::sync::Arc;
 
-use turbopool_bench::{run_oltp, OltpKind, RunOptions, Table};
+use turbopool_bench::{counters_json, run_oltp, Json, OltpKind, RunOptions, Table};
 use turbopool_bufpool::{
-    BufferPool, BufferPoolConfig, ClassifierKind, DirectIo, PageIo, ScanCursor,
+    BufferPool, BufferPoolConfig, ClassifierKind, ClassifierStats, DirectIo, PageIo, ScanCursor,
 };
 use turbopool_core::{MultiPageMode, SsdConfig, SsdDesign, SsdManager};
 use turbopool_iosim::{Clk, DeviceSetup, IoManager, Locality, PageId, HOUR, MILLISECOND, MINUTE};
@@ -22,10 +22,12 @@ use turbopool_workload::scenario::{Design, PAGE_SIZE, SCALE};
 use turbopool_workload::synthetic::{Synthetic, SyntheticConfig};
 
 /// §2.2 — classifier accuracy under interleaved scans + nearby random
-/// lookups.
-fn classifier_accuracy() {
+/// lookups. Returns each classifier's confusion matrix, keyed by
+/// classifier.
+fn classifier_accuracy() -> Json {
     println!("== Ablation 1: sequential-read classification accuracy (§2.2) ==\n");
     let mut table = Table::new(vec!["classifier", "seq accuracy", "paper"]);
+    let mut confusion = Vec::new();
     for (kind, paper) in [
         (ClassifierKind::ReadAhead, "82%"),
         (ClassifierKind::Proximity, "51%"),
@@ -72,8 +74,13 @@ fn classifier_accuracy() {
             format!("{:.0}%", s.sequential_accuracy() * 100.0),
             paper.to_string(),
         ]);
+        confusion.push((
+            format!("{kind:?}"),
+            counters_json(ClassifierStats::fields(&s)),
+        ));
     }
     table.print();
+    Json::Obj(confusion)
 }
 
 /// §2.5 — SSD space wasted on logically invalid pages under TAC.
@@ -398,7 +405,7 @@ fn throttle() {
 
 fn main() {
     let timer = turbopool_bench::WallTimer::start();
-    classifier_accuracy();
+    let classifiers = classifier_accuracy();
     tac_waste();
     multipage();
     partitioning();
@@ -406,5 +413,6 @@ fn main() {
     throttle();
     turbopool_bench::BenchReport::new("ablation")
         .standard(timer.secs(), 1, 0, 0)
+        .set("classifier_confusion", classifiers)
         .emit();
 }

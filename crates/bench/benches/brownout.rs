@@ -14,8 +14,10 @@
 
 use std::sync::Arc;
 
-use turbopool_bench::{quick, BenchReport, Json, WallTimer};
-use turbopool_iosim::fault::{FaultConfig, FaultPlan};
+use turbopool_bench::{counters_json, quick, BenchReport, Json, WallTimer};
+use turbopool_bufpool::PoolStats;
+use turbopool_core::metrics::SsdMetricsSnapshot;
+use turbopool_iosim::fault::{FaultConfig, FaultPlan, FaultStats};
 use turbopool_iosim::{Time, HOUR, MINUTE, SECOND};
 use turbopool_workload::driver::{CleanerClient, Driver, ThroughputRecorder};
 use turbopool_workload::scenario::Design;
@@ -130,7 +132,7 @@ fn main() {
         ];
         fields.push((
             "pool_counters".to_string(),
-            turbopool_bench::pool_stats_json(&run.s.db.pool_stats()),
+            counters_json(PoolStats::fields(&run.s.db.pool_stats())),
         ));
         if let Some(m) = run.s.db.ssd_metrics() {
             let fs = run.s.db.io().ssd_failslow();
@@ -138,7 +140,7 @@ fn main() {
             // headline hedge/detector numbers at top level for dashboards.
             fields.push((
                 "ssd_counters".to_string(),
-                turbopool_bench::ssd_metrics_json(&m),
+                counters_json(SsdMetricsSnapshot::fields(&m)),
             ));
             fields.push(("hedged_reads".to_string(), Json::Int(m.hedged_reads)));
             fields.push((
@@ -152,7 +154,7 @@ fn main() {
             let f = run.s.db.io().ssd_fault().expect("plan attached");
             fields.push((
                 "fault_counters".to_string(),
-                turbopool_bench::fault_stats_json(&f.stats()),
+                counters_json(FaultStats::fields(&f.stats())),
             ));
             fields.push((
                 "brownout_slowdowns".to_string(),

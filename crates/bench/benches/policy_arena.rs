@@ -16,10 +16,10 @@
 //! DRAM tiers.
 
 use turbopool_bench::{
-    bench_threads, policy_stats_json, quick, run_oltp_set, BenchReport, Json, OltpKind, OltpRun,
+    bench_threads, counters_json, quick, run_oltp_set, BenchReport, Json, OltpKind, OltpRun,
     RunOptions, Table, WallTimer,
 };
-use turbopool_bufpool::{AdmissionKind, ReplacementKind};
+use turbopool_bufpool::{AdmissionKind, PolicyStats, ReplacementKind};
 use turbopool_iosim::{HOUR, MINUTE};
 use turbopool_workload::scenario::Design;
 
@@ -46,7 +46,10 @@ fn cell_json(workload: &str, run: &OltpRun, replacement: ReplacementKind) -> Jso
         ),
         ("evictions".into(), Json::Int(evictions)),
         ("scan_steps_per_eviction".into(), Json::Num(scan_per_evict)),
-        ("policy".into(), policy_stats_json(&run.policy)),
+        (
+            "policy".into(),
+            counters_json(PolicyStats::fields(&run.policy)),
+        ),
     ];
     if let Some(m) = &run.ssd {
         fields.push(("ssd_ghost_admits".into(), Json::Int(m.admission_ghost_hits)));

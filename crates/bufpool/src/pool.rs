@@ -49,20 +49,21 @@ impl BufferPoolConfig {
     }
 }
 
-/// Buffer pool counters.
-#[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
-pub struct PoolStats {
-    pub hits: u64,
-    pub misses: u64,
-    pub evictions_clean: u64,
-    pub evictions_dirty: u64,
-    pub prefetched_pages: u64,
-    pub expanded_fill_pages: u64,
-    pub checkpoint_writes: u64,
-    /// Acquisitions of the one pool latch, bumped under that latch.
-    /// Deterministic in driver runs — a pure function of the operation
-    /// sequence — so it participates safely in replay equality checks.
-    pub shard_acquisitions: u64,
+turbopool_iosim::counters! {
+    /// Buffer pool counters.
+    pub struct PoolStats {
+        hits,
+        misses,
+        evictions_clean,
+        evictions_dirty,
+        prefetched_pages,
+        expanded_fill_pages,
+        checkpoint_writes,
+        /// Acquisitions of the one pool latch, bumped under that latch.
+        /// Deterministic in driver runs — a pure function of the operation
+        /// sequence — so it participates safely in replay equality checks.
+        shard_acquisitions,
+    }
 }
 
 impl PoolStats {

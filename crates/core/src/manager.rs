@@ -20,7 +20,7 @@ use turbopool_iosim::{
 use crate::audit::AuditOp;
 use crate::config::{MultiPageMode, SsdConfig, SsdDesign};
 use crate::metrics::SsdMetrics;
-use crate::partition::Partition;
+use crate::partition::{Partition, Record};
 use crate::tier::SsdTier;
 
 /// What [`SsdManager::plan_reclaim`] decided under the partition latch.
@@ -174,14 +174,7 @@ impl SsdManager {
             }
             drop(part);
             for rec in recs {
-                self.tier.audit(rec.pid, AuditOp::Quarantine);
-                self.occupancy.fetch_sub(1, Ordering::Relaxed);
-                SsdMetrics::bump(&self.tier.metrics.lost_frames);
-                if rec.dirty {
-                    self.dirty_total.fetch_sub(1, Ordering::Relaxed);
-                    SsdMetrics::bump(&self.tier.metrics.stranded_dirty);
-                    self.stranded.lock().push(rec.pid);
-                }
+                self.lose(&rec, AuditOp::Quarantine);
             }
         }
     }
@@ -196,13 +189,20 @@ impl SsdManager {
         };
         let rec = part.remove(idx);
         drop(part);
-        self.tier.audit(pid, AuditOp::CorruptInvalidate);
+        self.lose(&rec, AuditOp::CorruptInvalidate);
+    }
+
+    /// Account for a record removed because its SSD copy is gone: audit
+    /// `op`, count the lost frame, and strand a dirty (sole-copy) page for
+    /// WAL salvage.
+    fn lose(&self, rec: &Record, op: AuditOp) {
+        self.tier.audit(rec.pid, op);
         self.occupancy.fetch_sub(1, Ordering::Relaxed);
         SsdMetrics::bump(&self.tier.metrics.lost_frames);
         if rec.dirty {
             self.dirty_total.fetch_sub(1, Ordering::Relaxed);
             SsdMetrics::bump(&self.tier.metrics.stranded_dirty);
-            self.stranded.lock().push(pid);
+            self.stranded.lock().push(rec.pid);
         }
     }
 
@@ -592,19 +592,26 @@ impl SsdManager {
             count += 1;
         }
 
-        // Read each page from the SSD into memory (no direct SSD→disk path
-        // exists, §2.4), write the gathered pages to disk, and only then
-        // mark them clean — a page whose read or write fails must stay
-        // dirty (or be stranded) rather than silently lose its contents.
-        let mut pids: Vec<PageId> = Vec::with_capacity(count as usize);
-        let mut bufs: Vec<Vec<u8>> = Vec::with_capacity(count as usize);
-        for i in 0..count {
-            let pid = lo.offset(i);
+        let (cleaned, writes) = self.clean_run(clk, (0..count).map(|i| lo.offset(i)));
+        SsdMetrics::add(&self.tier.metrics.cleaned_pages, cleaned as u64);
+        SsdMetrics::add(&self.tier.metrics.cleaner_writes, writes as u64);
+        cleaned
+    }
+
+    /// Clean the pages of `run` (ascending): read each from the SSD into
+    /// memory (no direct SSD→disk path exists, §2.4), write the gathered
+    /// pages to disk, and only then mark them clean — a page whose read or
+    /// write fails must stay dirty (or be stranded) rather than silently
+    /// lose its contents. Returns `(pages cleaned, run writes issued)`.
+    fn clean_run(&self, clk: &mut Clk, run: impl Iterator<Item = PageId>) -> (usize, usize) {
+        let mut pids: Vec<PageId> = Vec::with_capacity(self.cfg.alpha as usize);
+        let mut bufs: Vec<Vec<u8>> = Vec::with_capacity(self.cfg.alpha as usize);
+        for pid in run {
             let frame = {
                 let part = self.part(pid);
                 let Some(idx) = part.lookup(pid) else {
                     // A quarantine sweep (triggered by an earlier read in
-                    // this very batch) may have emptied the table.
+                    // this very run) may have emptied the table.
                     continue;
                 };
                 part.frame_no(idx)
@@ -622,20 +629,9 @@ impl SsdManager {
                 }
             }
         }
-        let (cleaned, writes) = self.flush_gathered(clk, &pids, &bufs);
-        for buf in bufs {
-            self.buf_pool.put(buf);
-        }
-        SsdMetrics::add(&self.tier.metrics.cleaned_pages, cleaned as u64);
-        SsdMetrics::add(&self.tier.metrics.cleaner_writes, writes as u64);
-        cleaned
-    }
-
-    /// Write the gathered `(pid, buf)` pages to disk in consecutive-pid
-    /// runs, waiting out each write, and mark every written page clean.
-    /// Returns `(pages cleaned, run writes issued)`. Pages are left dirty
-    /// when the disk is dead (nothing can persist them).
-    fn flush_gathered(&self, clk: &mut Clk, pids: &[PageId], bufs: &[Vec<u8>]) -> (usize, usize) {
+        // Write the gathered pages to disk in consecutive-pid runs, waiting
+        // out each write, and mark every written page clean. Pages stay
+        // dirty when the disk is dead (nothing can persist them).
         let mut cleaned = 0usize;
         let mut writes = 0usize;
         let mut i = 0usize;
@@ -674,6 +670,9 @@ impl SsdManager {
                 }
             }
             i = j;
+        }
+        for buf in bufs {
+            self.buf_pool.put(buf);
         }
         (cleaned, writes)
     }
@@ -1099,9 +1098,8 @@ impl PageIo for SsdManager {
         }
         dirty_pids.sort_unstable();
 
-        // Flush in consecutive-pid group-cleaning batches of up to α pages.
-        // As in `clean_batch`, pages are marked clean only after their disk
-        // write succeeds; an unreadable SSD copy strands the page instead.
+        // Flush in consecutive-pid group-cleaning batches of up to α pages,
+        // each through `clean_run` like a lazy-cleaner batch.
         let mut total = 0usize;
         let mut i = 0usize;
         while i < dirty_pids.len() {
@@ -1112,35 +1110,7 @@ impl PageIo for SsdManager {
             {
                 j += 1;
             }
-            let mut pids: Vec<PageId> = Vec::with_capacity(j - i);
-            let mut bufs: Vec<Vec<u8>> = Vec::with_capacity(j - i);
-            for pid in &dirty_pids[i..j] {
-                let frame = {
-                    let part = self.part(*pid);
-                    let Some(idx) = part.lookup(*pid) else {
-                        // Swept by a quarantine triggered earlier in this
-                        // same flush.
-                        continue;
-                    };
-                    part.frame_no(idx)
-                };
-                let mut buf = self.buf_pool.take();
-                match self.tier.ssd_read(clk, frame, &mut buf) {
-                    Ok(()) => {
-                        pids.push(*pid);
-                        bufs.push(buf);
-                    }
-                    Err(e) => {
-                        self.buf_pool.put(buf);
-                        self.on_ssd_error(&e);
-                        self.drop_corrupt(*pid);
-                    }
-                }
-            }
-            let (cleaned, _writes) = self.flush_gathered(clk, &pids, &bufs);
-            for buf in bufs {
-                self.buf_pool.put(buf);
-            }
+            let (cleaned, _writes) = self.clean_run(clk, dirty_pids[i..j].iter().copied());
             total += cleaned;
             i = j;
         }

@@ -2,7 +2,7 @@
 
 use turbopool_bufpool::{ClassifierKind, ReplacementKind};
 use turbopool_core::SsdConfig;
-use turbopool_iosim::{DeviceSetup, FailSlowConfig};
+use turbopool_iosim::DeviceSetup;
 
 /// Everything needed to open a [`crate::Database`].
 #[derive(Clone, Debug)]
@@ -21,13 +21,8 @@ pub struct DbConfig {
     pub classifier: ClassifierKind,
     /// DRAM replacement policy (LRU-2 is the paper's and the default).
     pub replacement: ReplacementKind,
-    /// Read-ahead window for table scans, in pages.
-    pub readahead_window: u64,
     /// Override the device calibration (defaults to the paper's Table 1).
     pub devices: Option<DeviceSetup>,
-    /// Fail-slow detector tuning applied to both the disk group and the
-    /// SSD when the database opens (gray-failure extension).
-    pub failslow: FailSlowConfig,
 }
 
 impl DbConfig {
@@ -42,9 +37,7 @@ impl DbConfig {
             fill_expansion: 8,
             classifier: ClassifierKind::ReadAhead,
             replacement: ReplacementKind::Lru2,
-            readahead_window: 32,
             devices: None,
-            failslow: FailSlowConfig::default(),
         }
     }
 

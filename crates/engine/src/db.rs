@@ -23,6 +23,9 @@ pub type HeapId = usize;
 /// Handle to a B+-tree index in the catalog.
 pub type IndexId = usize;
 
+/// Read-ahead window of a table scan, in pages.
+const SCAN_READAHEAD_PAGES: u64 = 32;
+
 struct Catalog {
     heaps: Vec<HeapMeta>,
     indexes: Vec<IndexMeta>,
@@ -60,9 +63,6 @@ impl Database {
             Option<Arc<SsdManager>>,
             Option<Arc<TacCache>>,
         );
-        // Gray-failure extension: calibrate both fail-slow detectors to
-        // the configured thresholds before any I/O is issued.
-        io.configure_failslow(cfg.failslow);
         let (layer, ssd, tac): Layers = match &cfg.ssd {
             None => (Arc::new(DirectIo::new(Arc::clone(&io))), None, None),
             Some(scfg) if scfg.design == SsdDesign::Tac => {
@@ -349,7 +349,7 @@ impl Database {
     ) -> Result<(), IoError> {
         let meta = self.heap_meta(id);
         let end = meta.first.offset(meta.used_pages());
-        let mut cursor = ScanCursor::new(meta.first, end, self.cfg.readahead_window);
+        let mut cursor = ScanCursor::new(meta.first, end, SCAN_READAHEAD_PAGES);
         while let Some(next) = cursor.next(clk, &self.pool) {
             // The cursor has already advanced past the page it just served
             // (or failed to serve).

@@ -143,13 +143,7 @@ impl StripedArray {
     pub fn stats_snapshot(&self) -> StatSnapshot {
         let mut agg = StatSnapshot::default();
         for d in &self.disks {
-            let s = d.stats().snapshot();
-            agg.read_ops += s.read_ops;
-            agg.read_pages += s.read_pages;
-            agg.read_busy_ns += s.read_busy_ns;
-            agg.write_ops += s.write_ops;
-            agg.write_pages += s.write_pages;
-            agg.write_busy_ns += s.write_busy_ns;
+            agg += d.stats().snapshot();
         }
         agg
     }

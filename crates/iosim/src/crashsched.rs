@@ -48,12 +48,15 @@ pub enum WriteFate {
     Dropped,
 }
 
-/// Per-kind boundary counters observed by a switch.
-#[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
-pub struct BoundaryCounts {
-    pub disk_pages: u64,
-    pub ssd_frames: u64,
-    pub log_flushes: u64,
+crate::counters! {
+    /// A switch's live per-kind boundary counters.
+    struct KindCounters =>
+    /// Per-kind boundary counters observed by a switch.
+    pub struct BoundaryCounts {
+        disk_pages,
+        ssd_frames,
+        log_flushes,
+    }
 }
 
 impl BoundaryCounts {
@@ -76,9 +79,7 @@ pub struct CrashSwitch {
     /// Tear the firing write instead of letting it complete.
     torn: bool,
     fired: AtomicBool,
-    disk_pages: AtomicU64,
-    ssd_frames: AtomicU64,
-    log_flushes: AtomicU64,
+    counts: KindCounters,
     /// Sequence number of the most recent `LogFlush` boundary, plus one
     /// (0 = none yet). Lets a recorder attribute each commit to the exact
     /// boundary its log flush occupied.
@@ -103,9 +104,7 @@ impl CrashSwitch {
             cut,
             torn,
             fired: AtomicBool::new(false),
-            disk_pages: AtomicU64::new(0),
-            ssd_frames: AtomicU64::new(0),
-            log_flushes: AtomicU64::new(0),
+            counts: KindCounters::default(),
             last_log_flush: AtomicU64::new(0),
         }
     }
@@ -115,9 +114,9 @@ impl CrashSwitch {
     pub fn on_write(&self, kind: BoundaryKind) -> WriteFate {
         let s = self.seq.fetch_add(1, Ordering::Relaxed);
         match kind {
-            BoundaryKind::DiskPage => &self.disk_pages,
-            BoundaryKind::SsdFrame => &self.ssd_frames,
-            BoundaryKind::LogFlush => &self.log_flushes,
+            BoundaryKind::DiskPage => &self.counts.disk_pages,
+            BoundaryKind::SsdFrame => &self.counts.ssd_frames,
+            BoundaryKind::LogFlush => &self.counts.log_flushes,
         }
         .fetch_add(1, Ordering::Relaxed);
         if kind == BoundaryKind::LogFlush {
@@ -156,11 +155,7 @@ impl CrashSwitch {
 
     /// Per-kind boundary counts.
     pub fn counts(&self) -> BoundaryCounts {
-        BoundaryCounts {
-            disk_pages: self.disk_pages.load(Ordering::Relaxed),
-            ssd_frames: self.ssd_frames.load(Ordering::Relaxed),
-            log_flushes: self.log_flushes.load(Ordering::Relaxed),
-        }
+        self.counts.snapshot()
     }
 }
 

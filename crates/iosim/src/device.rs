@@ -255,7 +255,7 @@ impl SimDevice {
                 primed: false,
                 outstanding: BinaryHeap::new(),
             }),
-            stats: DeviceStats::new(),
+            stats: DeviceStats::default(),
         }
     }
 

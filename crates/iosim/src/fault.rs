@@ -248,31 +248,22 @@ impl FaultConfig {
     }
 }
 
-/// Counters of faults actually injected, readable at any time. These are
-/// part of the determinism contract: two runs with the same seed and
-/// workload must report identical counts.
-#[derive(Debug, Default)]
-struct FaultCounters {
-    read_errors: AtomicU64,
-    write_errors: AtomicU64,
-    latency_spikes: AtomicU64,
-    torn_writes: AtomicU64,
-    bitflips: AtomicU64,
-    dead_rejects: AtomicU64,
-    brownout_slowdowns: AtomicU64,
-}
-
-/// Plain snapshot of [`FaultPlan`] counters.
-#[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
-pub struct FaultStats {
-    pub read_errors: u64,
-    pub write_errors: u64,
-    pub latency_spikes: u64,
-    pub torn_writes: u64,
-    pub bitflips: u64,
-    pub dead_rejects: u64,
-    /// Requests whose service time was multiplied by an active brownout.
-    pub brownout_slowdowns: u64,
+crate::counters! {
+    /// Counters of faults actually injected, readable at any time. These are
+    /// part of the determinism contract: two runs with the same seed and
+    /// workload must report identical counts.
+    struct FaultCounters =>
+    /// Plain snapshot of [`FaultPlan`] counters.
+    pub struct FaultStats {
+        read_errors,
+        write_errors,
+        latency_spikes,
+        torn_writes,
+        bitflips,
+        dead_rejects,
+        /// Requests whose service time was multiplied by an active brownout.
+        brownout_slowdowns,
+    }
 }
 
 /// Sentinel for "no dynamic death scheduled".
@@ -406,15 +397,7 @@ impl FaultPlan {
 
     /// Snapshot the injected-fault counters.
     pub fn stats(&self) -> FaultStats {
-        FaultStats {
-            read_errors: self.counters.read_errors.load(Relaxed),
-            write_errors: self.counters.write_errors.load(Relaxed),
-            latency_spikes: self.counters.latency_spikes.load(Relaxed),
-            torn_writes: self.counters.torn_writes.load(Relaxed),
-            bitflips: self.counters.bitflips.load(Relaxed),
-            dead_rejects: self.counters.dead_rejects.load(Relaxed),
-            brownout_slowdowns: self.counters.brownout_slowdowns.load(Relaxed),
-        }
+        self.counters.snapshot()
     }
 }
 

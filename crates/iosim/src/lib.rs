@@ -22,6 +22,7 @@
 
 pub mod array;
 pub mod clock;
+pub mod counters;
 pub mod crashsched;
 pub mod device;
 pub mod fault;
@@ -43,7 +44,7 @@ pub use fault::{
     BrownoutSpec, FaultConfig, FaultDevice, FaultPlan, FaultStats, IoError, IoErrorKind,
     RetryPolicy,
 };
-pub use health::{FailSlowConfig, FailSlowDetector, FailSlowStats};
+pub use health::{FailSlowDetector, FailSlowStats};
 pub use io_manager::{DeviceSetup, IoManager};
 pub use page::{PageBuf, PageId};
 pub use pagebuf::{PageBufPool, PageLease};

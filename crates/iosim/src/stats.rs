@@ -8,14 +8,24 @@ use crate::sync::Mutex;
 use crate::clock::Time;
 use crate::device::IoKind;
 
+crate::counters! {
+    /// Running totals of one device.
+    struct Totals: reset =>
+    /// Immutable totals snapshot.
+    pub struct StatSnapshot {
+        read_ops,
+        read_pages,
+        read_busy_ns,
+        write_ops,
+        write_pages,
+        write_busy_ns,
+    }
+}
+
 /// Running totals plus an optional time-bucketed page-traffic series.
+#[derive(Default)]
 pub struct DeviceStats {
-    read_ops: AtomicU64,
-    read_pages: AtomicU64,
-    read_busy_ns: AtomicU64,
-    write_ops: AtomicU64,
-    write_pages: AtomicU64,
-    write_busy_ns: AtomicU64,
+    totals: Totals,
     /// Bucket width in ns; 0 disables the series.
     bucket_ns: AtomicU64,
     buckets: Mutex<Vec<Bucket>>,
@@ -27,17 +37,6 @@ struct Bucket {
     write_pages: u64,
 }
 
-/// Immutable totals snapshot.
-#[derive(Copy, Clone, Debug, Default, PartialEq, Eq)]
-pub struct StatSnapshot {
-    pub read_ops: u64,
-    pub read_pages: u64,
-    pub read_busy_ns: u64,
-    pub write_ops: u64,
-    pub write_pages: u64,
-    pub write_busy_ns: u64,
-}
-
 impl StatSnapshot {
     /// Pages transferred in both directions.
     pub fn total_pages(&self) -> u64 {
@@ -46,19 +45,6 @@ impl StatSnapshot {
 }
 
 impl DeviceStats {
-    pub fn new() -> Self {
-        DeviceStats {
-            read_ops: AtomicU64::new(0),
-            read_pages: AtomicU64::new(0),
-            read_busy_ns: AtomicU64::new(0),
-            write_ops: AtomicU64::new(0),
-            write_pages: AtomicU64::new(0),
-            write_busy_ns: AtomicU64::new(0),
-            bucket_ns: AtomicU64::new(0),
-            buckets: Mutex::new(Vec::new()),
-        }
-    }
-
     /// Enable the traffic time series with the given bucket width.
     pub fn enable_series(&self, bucket_ns: Time) {
         assert!(bucket_ns > 0);
@@ -68,14 +54,18 @@ impl DeviceStats {
     pub(crate) fn record(&self, kind: IoKind, pages: u64, at: Time, busy_ns: Time) {
         match kind {
             IoKind::Read => {
-                self.read_ops.fetch_add(1, Ordering::Relaxed);
-                self.read_pages.fetch_add(pages, Ordering::Relaxed);
-                self.read_busy_ns.fetch_add(busy_ns, Ordering::Relaxed);
+                self.totals.read_ops.fetch_add(1, Ordering::Relaxed);
+                self.totals.read_pages.fetch_add(pages, Ordering::Relaxed);
+                self.totals
+                    .read_busy_ns
+                    .fetch_add(busy_ns, Ordering::Relaxed);
             }
             IoKind::Write => {
-                self.write_ops.fetch_add(1, Ordering::Relaxed);
-                self.write_pages.fetch_add(pages, Ordering::Relaxed);
-                self.write_busy_ns.fetch_add(busy_ns, Ordering::Relaxed);
+                self.totals.write_ops.fetch_add(1, Ordering::Relaxed);
+                self.totals.write_pages.fetch_add(pages, Ordering::Relaxed);
+                self.totals
+                    .write_busy_ns
+                    .fetch_add(busy_ns, Ordering::Relaxed);
             }
         }
         let bw = self.bucket_ns.load(Ordering::Relaxed);
@@ -94,14 +84,7 @@ impl DeviceStats {
 
     /// Totals so far.
     pub fn snapshot(&self) -> StatSnapshot {
-        StatSnapshot {
-            read_ops: self.read_ops.load(Ordering::Relaxed),
-            read_pages: self.read_pages.load(Ordering::Relaxed),
-            read_busy_ns: self.read_busy_ns.load(Ordering::Relaxed),
-            write_ops: self.write_ops.load(Ordering::Relaxed),
-            write_pages: self.write_pages.load(Ordering::Relaxed),
-            write_busy_ns: self.write_busy_ns.load(Ordering::Relaxed),
-        }
+        self.totals.snapshot()
     }
 
     /// The bucketed traffic series as `(bucket_start_time, read_pages,
@@ -123,19 +106,8 @@ impl DeviceStats {
 
     /// Reset all counters and the series (used between benchmark phases).
     pub fn reset(&self) {
-        self.read_ops.store(0, Ordering::Relaxed);
-        self.read_pages.store(0, Ordering::Relaxed);
-        self.read_busy_ns.store(0, Ordering::Relaxed);
-        self.write_ops.store(0, Ordering::Relaxed);
-        self.write_pages.store(0, Ordering::Relaxed);
-        self.write_busy_ns.store(0, Ordering::Relaxed);
+        self.totals.reset();
         self.buckets.lock().clear();
-    }
-}
-
-impl Default for DeviceStats {
-    fn default() -> Self {
-        Self::new()
     }
 }
 
@@ -145,7 +117,7 @@ mod tests {
 
     #[test]
     fn totals_accumulate() {
-        let s = DeviceStats::new();
+        let s = DeviceStats::default();
         s.record(IoKind::Read, 4, 100, 40);
         s.record(IoKind::Write, 1, 200, 10);
         s.record(IoKind::Read, 2, 300, 20);
@@ -160,7 +132,7 @@ mod tests {
 
     #[test]
     fn series_buckets_by_time() {
-        let s = DeviceStats::new();
+        let s = DeviceStats::default();
         s.enable_series(1_000);
         s.record(IoKind::Read, 1, 0, 1);
         s.record(IoKind::Read, 1, 999, 1);
@@ -174,14 +146,14 @@ mod tests {
 
     #[test]
     fn series_disabled_by_default() {
-        let s = DeviceStats::new();
+        let s = DeviceStats::default();
         s.record(IoKind::Read, 1, 0, 1);
         assert!(s.series().is_empty());
     }
 
     #[test]
     fn reset_clears_everything() {
-        let s = DeviceStats::new();
+        let s = DeviceStats::default();
         s.enable_series(10);
         s.record(IoKind::Read, 1, 0, 1);
         s.reset();

@@ -222,6 +222,9 @@ pub(crate) struct MetricField {
     pub line: usize,
     pub strukt: String,
     pub field: String,
+    /// Type names of the `counters!` set declaring the field; empty for
+    /// a hand-written struct.
+    pub set: Vec<String>,
 }
 
 pub(crate) struct Graph {
@@ -240,6 +243,9 @@ pub(crate) struct Graph {
     /// Identifier words appearing in observation scope: bench / tests /
     /// examples sources and `#[cfg(test)]` regions anywhere.
     pub observed: HashSet<String>,
+    /// Identifier words on observation-scope lines that call `fields(`:
+    /// a `counters!` set named on such a line is observed whole.
+    pub fields_observed: HashSet<String>,
 }
 
 /// Crate key for a repo-relative path: `crates/<k>/...` -> `<k>`,
@@ -275,6 +281,7 @@ impl Graph {
             hash_idents: HashMap::new(),
             metric_fields: Vec::new(),
             observed: HashSet::new(),
+            fields_observed: HashSet::new(),
         };
         for (rel, p) in files {
             let rel_str = rel.to_string_lossy().replace('\\', "/");
@@ -286,6 +293,9 @@ impl Graph {
             for (ln, code) in p.code.iter().enumerate() {
                 if observe_all || p.in_test[ln] {
                     collect_words(code, &mut g.observed);
+                    if code.contains(".fields(") || code.contains("::fields(") {
+                        collect_words(code, &mut g.fields_observed);
+                    }
                 }
             }
         }
@@ -331,14 +341,17 @@ impl Graph {
     }
 
     /// L11: declared counter fields never read from a bench emitter,
-    /// integration test, example, or `#[cfg(test)]` region. Deduplicated
-    /// by field name across mirror structs (`SsdMetrics` vs
-    /// `SsdMetricsSnapshot` declare the same counters).
+    /// integration test, example, or `#[cfg(test)]` region. A field of a
+    /// `counters!` set is also read when the set's `fields()` is: some
+    /// observation-scope line calls `fields(` and names one of the set's
+    /// types. Deduplicated by field name across mirror structs.
     pub fn dead_metrics(&self) -> Vec<&MetricField> {
         let mut seen: HashSet<&str> = HashSet::new();
         let mut out = Vec::new();
         for m in &self.metric_fields {
-            if self.observed.contains(&m.field) {
+            if self.observed.contains(&m.field)
+                || m.set.iter().any(|n| self.fields_observed.contains(n))
+            {
                 continue;
             }
             if seen.insert(m.field.as_str()) {
@@ -435,15 +448,15 @@ fn collect_metric_fields(rel: &Path, rel_str: &str, p: &Prepared, out: &mut Vec<
     let mut ln = 0usize;
     while ln < p.code.len() {
         let code = &p.code[ln];
+        if !p.in_test[ln] && code.trim_end().ends_with("counters! {") {
+            ln = collect_counter_set(rel, p, ln, out) + 1;
+            continue;
+        }
         let Some(pos) = find_word(code, "struct") else {
             ln += 1;
             continue;
         };
-        let name: String = code[pos + 6..]
-            .trim_start()
-            .chars()
-            .take_while(|&c| c.is_ascii_alphanumeric() || c == '_')
-            .collect();
+        let name = leading_ident(&code[pos + 6..]);
         let counterish = ["Stats", "Metrics", "Snapshot"]
             .iter()
             .any(|s| name.ends_with(s));
@@ -475,16 +488,14 @@ fn collect_metric_fields(rel: &Path, rel_str: &str, p: &Prepared, out: &mut Vec<
             if opened && depth == 1 && l > ln {
                 let t = p.code[l].trim_start();
                 if let Some(rest) = t.strip_prefix("pub ") {
-                    let field: String = rest
-                        .chars()
-                        .take_while(|&c| c.is_ascii_alphanumeric() || c == '_')
-                        .collect();
+                    let field = leading_ident(rest);
                     if !field.is_empty() && rest[field.len()..].trim_start().starts_with(':') {
                         out.push(MetricField {
                             file: rel.to_path_buf(),
                             line: l,
                             strukt: name.clone(),
                             field,
+                            set: Vec::new(),
                         });
                     }
                 }
@@ -493,6 +504,40 @@ fn collect_metric_fields(rel: &Path, rel_str: &str, p: &Prepared, out: &mut Vec<
         }
         ln = l.max(ln) + 1;
     }
+}
+
+/// The identifier at the start of `s` (after whitespace).
+fn leading_ident(s: &str) -> String {
+    s.trim_start()
+        .chars()
+        .take_while(|&c| c.is_ascii_alphanumeric() || c == '_')
+        .collect()
+}
+
+/// Record the counters of the `counters! {` invocation opening on line
+/// `ln`: one `name,` per line inside the struct body. The set's type
+/// names follow `struct` at the top level. Returns the closing line.
+fn collect_counter_set(rel: &Path, p: &Prepared, ln: usize, out: &mut Vec<MetricField>) -> usize {
+    let mut names: Vec<String> = Vec::new();
+    let mut depth = 0usize;
+    for (l, code) in p.code.iter().enumerate().skip(ln) {
+        match (depth, find_word(code, "struct")) {
+            (1, Some(pos)) => names.push(leading_ident(&code[pos + 6..])),
+            (2, _) if code.trim_end().ends_with(',') => out.push(MetricField {
+                file: rel.to_path_buf(),
+                line: l,
+                strukt: names.last().cloned().unwrap_or_default(),
+                field: leading_ident(code),
+                set: names.clone(),
+            }),
+            _ => {}
+        }
+        depth = (depth + code.matches('{').count()).saturating_sub(code.matches('}').count());
+        if depth == 0 {
+            return l;
+        }
+    }
+    p.code.len()
 }
 
 /// Position of `word` in `code` as a standalone token.

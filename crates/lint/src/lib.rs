@@ -50,10 +50,13 @@
 //! * **L3, cross-function** — lock acquisition order is also checked
 //!   across one level of intra-crate calls, including guard-returning
 //!   helpers like `SsdManager::part`.
-//! * **L11 `dead-metric`** — every `pub` field of a `*Stats` /
-//!   `*Metrics` / `*Snapshot` struct in a sim-state crate must be read
-//!   by a bench JSON emitter, an integration test, an example, or a
+//! * **L11 `dead-metric`** — every counter in a sim-state crate must be
+//!   read by a bench, an integration test, an example, or a
 //!   `#[cfg(test)]` region; unobserved counters are observability rot.
+//!   A `counters!` set is read whole when such a line calls `fields(`
+//!   and names one of the set's types; any other counter (or `pub` field
+//!   of a `*Stats` / `*Metrics` / `*Snapshot` struct) must be read by
+//!   name.
 //! * **`unused-allow`** — a `lint: allow(<rule>)` marker that suppresses
 //!   no finding is itself a finding, so the allow surface only shrinks.
 //!
@@ -740,8 +743,9 @@ fn rule_panic(p: &Prepared, rel: &Path, out: &mut Vec<Finding>) {
 
 /// Identifier fragments that mark an operand as a latency or queue-depth
 /// quantity for L8. A comparison between such a quantity and an inline
-/// numeric literal encodes a tuning decision that belongs in a named
-/// config constant (`SsdConfig`, `FailSlowConfig`, `RetryPolicy`, ...).
+/// numeric literal encodes a tuning decision that belongs in a config
+/// field (`SsdConfig`, `RetryPolicy`, ...) or a named constant (the
+/// fail-slow thresholds in `iosim::health`).
 const THRESHOLD_TOKENS: &[&str] = &["_ns", "latency", "depth", "ewma", "backoff"];
 
 /// Parse `tok` as a plain integer literal (decimal digits, `_`
@@ -820,8 +824,9 @@ fn rule_magic_threshold(p: &Prepared, rel: &Path, out: &mut Vec<Finding>) {
                     line: ln + 1,
                     message: format!(
                         "latency/queue-depth compared against inline literal \
-                         (`{lhs} .. {rhs}`) — name the threshold in config \
-                         (SsdConfig/FailSlowConfig/RetryPolicy) or justify with \
+                         (`{lhs} .. {rhs}`) — name the threshold (an \
+                         SsdConfig/RetryPolicy field, or a constant as in \
+                         iosim::health) or justify with \
                          `// lint: allow(magic-threshold)`"
                     ),
                 });

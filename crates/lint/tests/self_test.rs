@@ -223,6 +223,30 @@ fn dead_metric_fixture_fires() {
 }
 
 #[test]
+fn dead_metric_covers_counters_sets() {
+    let rel = PathBuf::from("crates/lint/fixtures/dead_metric_counters.rs");
+    let src = std::fs::read_to_string(ws().join(&rel)).expect("fixture readable");
+    let dead = |src: &str| -> Vec<String> {
+        let f = scan_file(&cfg(ws()), &rel, src);
+        f.into_iter()
+            .filter(|f| f.rule == Rule::DeadMetric)
+            .map(|f| f.message)
+            .collect()
+    };
+    // Nobody calls the set's `fields()`: each counter is checked by name.
+    let hits = dead(&src);
+    assert!(
+        hits.len() == 1 && hits[0].contains("FooSnapshot.dead_total"),
+        "expected exactly the unread counter, named with its set: {hits:#?}"
+    );
+    // A test that emits the whole set through `fields()` observes it.
+    let emitted = src
+        + "#[cfg(test)]\nmod emit {\n    fn all() {\n        \
+                         let _ = super::FooSnapshot::fields(&Default::default());\n    }\n}\n";
+    assert_eq!(dead(&emitted), Vec::<String>::new());
+}
+
+#[test]
 fn unused_allow_fixture_fires() {
     let f = fixture("unused_allow.rs");
     let unused: Vec<_> = f.iter().filter(|f| f.rule == Rule::UnusedAllow).collect();
